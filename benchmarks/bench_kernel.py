@@ -8,10 +8,12 @@ Python-interpreter cost per event in the oracle -- and runs the same
 * **python**: :class:`~repro.core.kernel.PredictorKernel` driving
   ``PasOps`` entries, one interpreted iteration per event;
 * **native**: :class:`~repro.core.kernel_native.NativeKernelBackend`, the
-  compiled (numba or C) loop over dense int32 key/block ids and flat
-  counter arrays, fused with the popcount scorer.
+  compiled C loop over dense int32 key/block ids and flat counter arrays.
 
-Every confusion quad is asserted bit-identical before any number is
+Each backend opens one stream per (scheme, trace) and is fed the whole
+trace as one chunk -- exactly how a sweep runs a resident trace -- and
+every prediction column is scored by the one normative
+:func:`~repro.core.kernel_backends.score_predictions`.  Every confusion quad is asserted bit-identical before any number is
 reported, so the emitted JSON can never describe a speedup bought with a
 semantics change.  Emits ``BENCH_kernel.json`` (the CI artifact) and, by
 default, fails if the compiled path is not at least 5x faster::
@@ -36,7 +38,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.core.kernel_backends import get_kernel_backend
+from repro.core.kernel_backends import get_kernel_backend, score_predictions
 from repro.core.schemes import parse_scheme
 from repro.core.vectorized import compute_keys
 from repro.harness.runner import TraceSet
@@ -96,10 +98,14 @@ def main(argv=None) -> int:
         for scheme in schemes
     ]
 
+    def evaluate(backend, scheme, trace, keys):
+        stream = backend.stream(scheme, trace.num_nodes, trace.layout)
+        return score_predictions(stream.feed(trace, keys), trace, True)
+
     def sweep(backend):
         return [
             [
-                backend.evaluate(scheme, trace, keys, True)
+                evaluate(backend, scheme, trace, keys)
                 for trace, keys in zip(traces, per_trace_keys)
             ]
             for scheme, per_trace_keys in zip(schemes, key_streams)
@@ -138,7 +144,6 @@ def main(argv=None) -> int:
 
     artifact.update(
         {
-            "native_engine": native.engine_name,
             "native_seconds": round(native_seconds, 4),
             "speedup": round(speedup, 2),
             "results_identical": True,

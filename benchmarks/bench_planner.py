@@ -6,7 +6,7 @@ planner is designed for -- and times the same batch twice:
 * **per-scheme**: the pre-planner path, one ``evaluate_scheme_fast`` call
   per scheme (keys recomputed, feedback pass re-sorted every time);
 * **planned**: one ``evaluate_plan`` over a :class:`SweepPlan` (keys once
-  per index group, one bitmap pass per (mode, trace) sub-batch).
+  per (index group, trace), one bitmap pass per (mode, trace) sub-batch).
 
 The two result sets are asserted bit-identical before any number is
 reported, so the emitted JSON can never describe a speedup bought with a
@@ -29,7 +29,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.core.plan import KeyCache, SweepPlan, evaluate_plan
+from repro.core.plan import SweepPlan, evaluate_plan
 from repro.core.schemes import parse_scheme
 from repro.core.vectorized import evaluate_scheme_fast
 from repro.harness.runner import TraceSet
@@ -96,7 +96,7 @@ def main(argv=None) -> int:
     previous = set_telemetry(sink)
     try:
         planned_seconds, planned = best_of(
-            REPEATS, lambda: evaluate_plan(SweepPlan(schemes), traces, key_cache=KeyCache())
+            REPEATS, lambda: evaluate_plan(SweepPlan(schemes), traces)
         )
     finally:
         set_telemetry(previous)
@@ -118,7 +118,6 @@ def main(argv=None) -> int:
         "min_speedup": MIN_SPEEDUP,
         "results_identical": True,
         # one timed repetition's telemetry: the sharing the speedup comes from
-        "key_computations": sink.counters.get("plan.key_cache.misses", 0) // REPEATS,
         "trace_passes": sink.counters.get("plan.trace_passes", 0) // REPEATS,
         "per_scheme_trace_passes": len(schemes) * len(traces),
     }

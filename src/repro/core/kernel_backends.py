@@ -2,37 +2,42 @@
 
 The per-event predictor loop has exactly one semantic definition --
 :class:`~repro.core.kernel.PredictorKernel` -- and, as of this module, more
-than one *implementation*.  A kernel backend is an object that can run a
-scheme's per-event loop over a trace and hand back the raw prediction
-stream (or its fused confusion quad); the registry decides which
-implementation a given evaluation uses, mirroring the evaluation-engine
-registry in :mod:`repro.engine`:
+than one *implementation*.  A kernel backend is an object that opens a
+resumable per-scheme stream over a trace's chunks and hands back each
+chunk's raw prediction column; the registry decides which implementation a
+given evaluation uses, mirroring the evaluation-engine registry in
+:mod:`repro.engine`:
 
 * explicit :func:`set_kernel_backend` override (the CLI's ``--kernel``),
 * else the ``REPRO_KERNEL`` environment variable,
-* else ``auto``: the native backend when a compiler (numba or a C
-  toolchain) is present and its build passes the oracle self-check,
-  otherwise pure Python.
+* else ``auto``: the native backend when a C toolchain is present and its
+  build passes the oracle self-check, otherwise pure Python.
 
-The contract every backend must honor -- and the conformance suite
-(``tests/core/test_kernel_conformance.py``) enforces over every
-*registered* backend, so a new backend is covered by registration alone:
+The backend contract is one method besides ``available``/``supports``:
+``stream(scheme, num_nodes, layout)`` returns an object whose
+``feed(chunk, keys)`` returns the chunk's raw predictions.  A stream owns
+all predictor state between chunks, so a resident trace is simply one
+chunk and a file-backed source is many.  Every backend must honor -- and
+the conformance suite (``tests/core/test_kernel_conformance.py``) enforces
+over every *registered* backend, at several chunkings, so a new backend is
+covered by registration alone:
 
 * **The pure-Python backend is normative.**  Its predictions define
   correctness; a fast backend must reproduce them bit for bit on every
-  trace, or decline the scheme via ``supports`` and let the registry fall
-  through to Python (counted under ``kernel.fallbacks``).
+  trace and every chunking, or decline the scheme via ``supports`` and let
+  the registry fall through to Python (counted under ``kernel.fallbacks``).
 * **Degradation is silent-safe.**  Requesting ``native`` on a machine with
   no compiler warns once and runs pure Python -- results cannot change,
   only speed.  Requesting an unregistered name is an error.
 * Raw predictions are *unmasked* (writer-bit exclusion is a scoring
   concern) and delivered in the trace's
-  :class:`~repro.util.bitmaps.BitmapLayout` representation.
+  :class:`~repro.util.bitmaps.BitmapLayout` representation.  Scoring is
+  never a backend's business: :func:`score_predictions` is the one scorer.
 
-Evaluations route through :func:`kernel_predict` / :func:`kernel_evaluate`,
-which also record the chosen backend under ``kernel.backend.<name>``
-telemetry -- including inside parallel-engine workers, whose counters merge
-home with the rest of the worker snapshot.
+Evaluations open their streams through :func:`kernel_stream`, which also
+records the chosen backend under ``kernel.backend.<name>`` telemetry --
+including inside parallel-engine workers, whose counters merge home with
+the rest of the worker snapshot.
 """
 
 from __future__ import annotations
@@ -40,14 +45,18 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.kernel import PasOps, PredictorKernel
+from repro.core.kernel import KernelStream, PasOps
 from repro.core.schemes import Scheme, parse_scheme
+from repro.core.vectorized import compute_keys
 from repro.telemetry import get_telemetry
 from repro.trace.events import SharingTrace
+from repro.trace.source import ResidentTraceSource
+from repro.util.bitmaps import BitmapLayout
 from repro.util.rng import DeterministicRng
 
 logger = logging.getLogger("repro.core.kernel_backends")
@@ -65,9 +74,8 @@ def score_predictions(
     """Confusion quad ``(tp, fp, fn, tn)`` for a raw prediction column.
 
     The one normative scoring definition (popcount over the trace layout's
-    words); the vectorized evaluator's scorer and the native backend's
-    fused C scorer are both held to it by the conformance and golden
-    suites.  ``exclude_writer`` masks each event's writer bit out of the
+    words), for every family and every backend; ``trace`` may be a trace
+    chunk.  ``exclude_writer`` masks each event's writer bit out of the
     predictions before counting, matching the evaluators' default.
     """
     layout = trace.layout
@@ -85,6 +93,26 @@ def score_predictions(
         false_negative,
         total - true_positive - false_positive - false_negative,
     )
+
+
+class PythonKernelStream:
+    """The oracle's resumable loop: a :class:`KernelStream` over chunks."""
+
+    def __init__(self, scheme: Scheme, num_nodes: int, layout: BitmapLayout):
+        if scheme.function == "pas":
+            ops = PasOps(num_nodes, scheme.depth)
+        else:
+            ops = scheme.make_function(num_nodes)
+        self._stream = KernelStream(scheme.update, ops)
+        self._layout = layout
+
+    def feed(self, chunk, keys: np.ndarray) -> np.ndarray:
+        """Raw (unmasked) predictions for one chunk, in the layout."""
+        # drain the generator with list() before packing: np.fromiter
+        # stops *at* the n-th yield, which would leave ORDERED mode's
+        # post-yield update of the chunk's last event unexecuted
+        values = list(self._stream.feed_chunk(chunk, np.asarray(keys).tolist()))
+        return self._layout.from_int_iter(values, count=len(chunk))
 
 
 class PythonKernelBackend:
@@ -105,32 +133,11 @@ class PythonKernelBackend:
     def supports(self, scheme: Scheme) -> bool:
         return True
 
-    def predict(
-        self, scheme: Scheme, trace: SharingTrace, keys: np.ndarray
-    ) -> np.ndarray:
-        """Raw (unmasked) per-event predictions in the trace's layout."""
-        if len(trace) == 0:
-            return trace.layout.zeros(0)
-        if scheme.function == "pas":
-            ops = PasOps(trace.num_nodes, scheme.depth)
-        else:
-            ops = scheme.make_function(trace.num_nodes)
-        kernel = PredictorKernel(scheme.update, ops)
-        return trace.layout.from_int_iter(
-            kernel.run_trace(trace, np.asarray(keys).tolist()), count=len(trace)
-        )
-
-    def evaluate(
-        self,
-        scheme: Scheme,
-        trace: SharingTrace,
-        keys: np.ndarray,
-        exclude_writer: bool,
-    ) -> Tuple[int, int, int, int]:
-        """Predict then score on the shared numpy path."""
-        return score_predictions(
-            self.predict(scheme, trace, keys), trace, exclude_writer
-        )
+    def stream(
+        self, scheme: Scheme, num_nodes: int, layout: BitmapLayout
+    ) -> PythonKernelStream:
+        """A fresh resumable oracle loop for one (scheme, trace)."""
+        return PythonKernelStream(scheme, num_nodes, layout)
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +230,7 @@ def active_kernel_name() -> str:
 
 
 # ----------------------------------------------------------------------
-# Routed evaluation entry points
+# Routed entry point
 # ----------------------------------------------------------------------
 
 
@@ -240,25 +247,14 @@ def _backend_for(scheme: Scheme):
     return backend
 
 
-def kernel_predict(
-    scheme: Scheme, trace: SharingTrace, keys: np.ndarray
-) -> np.ndarray:
-    """Raw per-event predictions via the active kernel backend."""
-    return _backend_for(scheme).predict(scheme, trace, keys)
+def kernel_stream(scheme: Scheme, num_nodes: int, layout: BitmapLayout):
+    """A resumable prediction stream for one (scheme, trace).
 
-
-def kernel_evaluate(
-    scheme: Scheme,
-    trace: SharingTrace,
-    keys: np.ndarray,
-    exclude_writer: bool = True,
-) -> Tuple[int, int, int, int]:
-    """Fused predict-and-score via the active kernel backend.
-
-    Returns the ``(tp, fp, fn, tn)`` quad; bit-identical across backends by
-    the registry contract.
+    Opened on the active kernel backend (Python for schemes it declines);
+    its ``feed(chunk, keys)`` returns the chunk's raw predictions,
+    bit-identical across backends and chunkings by the registry contract.
     """
-    return _backend_for(scheme).evaluate(scheme, trace, keys, exclude_writer)
+    return _backend_for(scheme).stream(scheme, num_nodes, layout)
 
 
 # ----------------------------------------------------------------------
@@ -302,34 +298,49 @@ def _probe_trace(num_nodes: int, num_events: int, seed: str) -> SharingTrace:
     return SharingTrace.from_epochs(num_nodes, epochs, name=f"kernel-probe-{seed}")
 
 
-def probe_traces() -> List[SharingTrace]:
+@lru_cache(maxsize=None)
+def probe_traces() -> Tuple[SharingTrace, ...]:
     """The fixed probe traces: a paper-width machine and a packed-wide one."""
-    return [
+    return (
         _probe_trace(num_nodes=16, num_events=240, seed="kernel-probe-16"),
         _probe_trace(num_nodes=80, num_events=64, seed="kernel-probe-80"),
-    ]
+    )
+
+
+#: the small chunk size the self-check also feeds the battery in, so a
+#: backend that resumes wrongly between chunks fails its gate
+PROBE_CHUNK_EVENTS = 16
+
+
+def _probe_predictions(backend, scheme: Scheme, trace: SharingTrace, chunk_events: int):
+    """``backend``'s raw predictions for ``scheme``, fed ``chunk_events`` at a time."""
+    stream = backend.stream(scheme, trace.num_nodes, trace.layout)
+    keys = compute_keys(scheme.index, trace)
+    values: List[int] = []
+    for chunk in ResidentTraceSource(trace, chunk_events).chunks():
+        predictions = stream.feed(chunk, keys[chunk.start : chunk.end])
+        values.extend(trace.layout.to_int_list(predictions))
+    return values
 
 
 def kernel_probe_fingerprint(backend) -> str:
     """A 16-hex-digit digest of ``backend``'s probe prediction streams.
 
     Hashes the raw per-event prediction bitmaps of every probe scheme over
-    every probe trace (schemes the backend declines run on the Python
-    oracle, exactly as the routed entry points would).  Two backends agree
-    on the fingerprint iff they agree bit for bit on the battery; the
-    Python oracle's value is pinned in ``tests/golden/test_golden.py``.
+    every probe trace, each fed whole (schemes the backend declines run on
+    the Python oracle, exactly as :func:`kernel_stream` would route them).
+    Two backends agree on the fingerprint iff they agree bit for bit on the
+    battery; the Python oracle's value is pinned in
+    ``tests/golden/test_golden.py``.
     """
-    from repro.core.vectorized import compute_keys
-
     python = _REGISTRY["python"]
     digest = hashlib.sha256()
     for trace in probe_traces():
         for scheme_text in PROBE_SCHEMES:
             scheme = parse_scheme(scheme_text)
-            keys = compute_keys(scheme.index, trace)
             chosen = backend if backend.supports(scheme) else python
-            predictions = chosen.predict(scheme, trace, keys)
-            stream = ",".join(str(v) for v in trace.layout.to_int_list(predictions))
+            values = _probe_predictions(chosen, scheme, trace, max(1, len(trace)))
+            stream = ",".join(str(v) for v in values)
             record = f"{trace.name}|{scheme_text}|{stream}\n"
             digest.update(record.encode("ascii"))
     return digest.hexdigest()[:16]
@@ -338,12 +349,24 @@ def kernel_probe_fingerprint(backend) -> str:
 def kernel_selfcheck(backend) -> bool:
     """Does ``backend`` reproduce the Python oracle's probe battery exactly?
 
-    This is the gate :meth:`NativeKernelBackend.available` runs before a
-    compiled engine is allowed to serve evaluations.
+    Every probe scheme the backend supports is fed each probe trace twice,
+    whole and in :data:`PROBE_CHUNK_EVENTS`-event chunks, and both
+    prediction streams must equal the oracle's whole-trace stream (declined
+    schemes run on the oracle itself, so they cannot differ).  This is the
+    gate :meth:`NativeKernelBackend.available` runs before a compiled
+    engine is allowed to serve evaluations.
     """
-    return kernel_probe_fingerprint(backend) == kernel_probe_fingerprint(
-        _REGISTRY["python"]
-    )
+    python = _REGISTRY["python"]
+    for trace in probe_traces():
+        for scheme_text in PROBE_SCHEMES:
+            scheme = parse_scheme(scheme_text)
+            if not backend.supports(scheme):
+                continue
+            want = _probe_predictions(python, scheme, trace, max(1, len(trace)))
+            for chunk_events in (max(1, len(trace)), PROBE_CHUNK_EVENTS):
+                if _probe_predictions(backend, scheme, trace, chunk_events) != want:
+                    return False
+    return True
 
 
 # ----------------------------------------------------------------------

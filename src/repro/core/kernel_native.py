@@ -1,36 +1,36 @@
 """Compiled per-event predictor loop: the ``native`` kernel backend.
 
 The design-space sweeps of paper Section 5.4 evaluate thousands of schemes
-per trace, and after the planner removed the redundant *shared* work
-(PR 5), the remaining cost ceiling is the per-event Python interpreter loop
-of the PAs and sequential families -- :class:`~repro.core.kernel.PredictorKernel`
-driving entry ops one event at a time.  This module compiles that loop.
+per trace.  Bitmap-history schemes share vectorized passes
+(:mod:`repro.core.windowed`), but the PAs family carries counter state
+that depends on the full feedback sequence, so it needs the per-event loop
+-- :class:`~repro.core.kernel.PredictorKernel` driving entry ops one event
+at a time.  This module compiles that loop: the embedded C source below is
+built once with the system C compiler into a cached shared library and
+driven via ``ctypes``.
 
-Two compiled engines, tried in preference order:
-
-* **numba** -- when ``numba`` is importable, the loop is an ``@njit``
-  transcription over the same flat arrays (no C toolchain needed);
-* **cc** -- otherwise the embedded C source below is built once with the
-  system C compiler into a cached shared library and driven via ``ctypes``.
-
-Either way the compiled loop never sees Python objects: predictor keys and
-block ids are densified to contiguous entry indices with ``np.unique``
-(keys are known up front -- the whole trace is in hand), bitmaps travel as
-bit-packed 64-bit word rows in the trace's
-:class:`~repro.util.bitmaps.BitmapLayout` sense, and confusion counting is
-fused ``popcount`` arithmetic over those words.  Entry state is flat
-arrays: a ring buffer of feedback words per entry for the bitmap-history
-family, per-(entry, node) history registers and 2-bit saturating counters
-for PAs.
+The compiled loop never sees Python objects.  A
+:class:`NativeKernelStream` maps predictor keys and block ids to dense
+entry indices that stay stable across chunks (:class:`DenseIds`), bitmaps
+travel as bit-packed 64-bit word rows in the trace's
+:class:`~repro.util.bitmaps.BitmapLayout` sense, and entry state is flat
+arrays in a :class:`NativeState` that grows as new keys appear: a ring
+buffer of feedback words per entry for the bitmap-history family,
+per-(entry, node) history registers and 2-bit saturating counters for PAs,
+and the FORWARDED ``pending`` array naming each open epoch's predicting
+entry.  Because all of that lives on the stream, the unchanged C loop
+resumes exactly where the previous chunk stopped.  Scoring is not done
+here: every family is scored by the one normative
+:func:`~repro.core.kernel_backends.score_predictions`.
 
 Semantics are *defined elsewhere*: the pure-Python
 :class:`~repro.core.kernel.PredictorKernel` remains the normative oracle,
 and this backend refuses to activate until it reproduces the oracle's
-prediction stream bit for bit on the probe battery
-(:func:`repro.core.kernel_backends.kernel_probe_fingerprint`) -- an engine
-that fails the self-check is skipped, falling through to the next engine
-and ultimately to the pure-Python backend.  The full proof is the kernel
-conformance suite (``tests/core/test_kernel_conformance.py``).
+prediction stream bit for bit on the probe battery, fed both whole and in
+small chunks (:func:`repro.core.kernel_backends.kernel_selfcheck`) -- a
+build that fails the self-check leaves the pure-Python backend serving.
+The full proof is the kernel conformance suite
+(``tests/core/test_kernel_conformance.py``).
 
 Build artifacts land in ``REPRO_KERNEL_CACHE`` (default: a per-user
 directory under the system temp dir), keyed by a hash of the C source, so
@@ -47,21 +47,20 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.core.schemes import Scheme
 from repro.core.update import UpdateMode
-from repro.trace.events import SharingTrace
 from repro.util.bitmaps import BitmapLayout
 
 logger = logging.getLogger("repro.core.kernel_native")
 
-#: update-mode codes shared by the C and numba engines
+#: update-mode codes of the C loop
 _MODE_CODES = {UpdateMode.DIRECT: 0, UpdateMode.FORWARDED: 1, UpdateMode.ORDERED: 2}
 
-#: prediction-function codes shared by the C and numba engines
+#: prediction-function codes of the C loop
 _FUNC_CODES = {"last": 0, "union": 1, "inter": 2, "overlap": 3, "pas": 4}
 
 #: widest bitmap-history ring the native state layout supports (uint8 ring
@@ -255,36 +254,6 @@ int repro_kernel_run(int64_t n_events, int64_t n_words, int64_t num_nodes,
     }
     return 0;
 }
-
-/* ---- fused popcount confusion counting over packed word rows ---- */
-
-void repro_kernel_score(int64_t n_events, int64_t n_words,
-                        const uint64_t *pred, const uint64_t *truth,
-                        const uint64_t *mask_words,
-                        const int64_t *writers, int32_t exclude_writer,
-                        int64_t *out)
-{
-    int64_t tp = 0, fp = 0, fn = 0;
-    int64_t i, w;
-    for (i = 0; i < n_events; i++) {
-        const uint64_t *p_row = pred + i * n_words;
-        const uint64_t *t_row = truth + i * n_words;
-        int64_t writer = writers[i];
-        for (w = 0; w < n_words; w++) {
-            uint64_t m = mask_words[w];
-            uint64_t p = p_row[w] & m;
-            uint64_t t = t_row[w];
-            if (exclude_writer && (writer >> 6) == w)
-                p &= ~(1ull << (writer & 63));
-            tp += __builtin_popcountll(p & t);
-            fp += __builtin_popcountll(p & ~t & m);
-            fn += __builtin_popcountll(~p & t & m);
-        }
-    }
-    out[0] = tp;
-    out[1] = fp;
-    out[2] = fn;
-}
 """
 
 #: compilers tried in order when building the C engine
@@ -338,18 +307,20 @@ def _compile_library() -> Path:
 
 
 class _CEngine:
-    """ctypes bindings over the compiled library (one instance per process)."""
+    """ctypes bindings over the compiled library (one instance per process).
 
-    name = "cc"
+    Scalars and array addresses are declared once in ``argtypes``, so a
+    call passes plain ints: per-chunk overhead stays small even at tiny
+    chunk sizes.
+    """
 
     def __init__(self) -> None:
         self._lib = ctypes.CDLL(str(_compile_library()))
-        self._lib.repro_kernel_run.restype = ctypes.c_int
-        self._lib.repro_kernel_score.restype = None
-
-    @staticmethod
-    def _ptr(array: np.ndarray, ctype) -> ctypes.POINTER:
-        return array.ctypes.data_as(ctypes.POINTER(ctype))
+        self._run = self._lib.repro_kernel_run
+        self._run.restype = ctypes.c_int
+        self._run.argtypes = (
+            [ctypes.c_int64] * 3 + [ctypes.c_int32] * 4 + [ctypes.c_void_p] * 12
+        )
 
     def run(
         self,
@@ -367,229 +338,128 @@ class _CEngine:
         state: "NativeState",
         pred: np.ndarray,
     ) -> int:
-        return self._lib.repro_kernel_run(
-            ctypes.c_int64(len(entries)),
-            ctypes.c_int64(n_words),
-            ctypes.c_int64(num_nodes),
-            ctypes.c_int32(mode),
-            ctypes.c_int32(function),
-            ctypes.c_int32(window),
-            ctypes.c_int32(depth),
-            self._ptr(entries, ctypes.c_int32),
-            self._ptr(blocks, ctypes.c_int32),
-            self._ptr(has_inval, ctypes.c_uint8),
-            self._ptr(inval, ctypes.c_uint64),
-            self._ptr(truth, ctypes.c_uint64),
-            self._ptr(state.bitmap_hist, ctypes.c_uint64),
-            self._ptr(state.ring_len, ctypes.c_uint8),
-            self._ptr(state.ring_pos, ctypes.c_uint8),
-            self._ptr(state.pas_hist, ctypes.c_uint32),
-            self._ptr(state.pas_counters, ctypes.c_uint8),
-            self._ptr(state.pending, ctypes.c_int32),
-            self._ptr(pred, ctypes.c_uint64),
+        return self._run(
+            len(entries), n_words, num_nodes, mode, function, window, depth,
+            entries.ctypes.data,
+            blocks.ctypes.data,
+            has_inval.ctypes.data,
+            inval.ctypes.data,
+            truth.ctypes.data,
+            state.bitmap_hist.ctypes.data,
+            state.ring_len.ctypes.data,
+            state.ring_pos.ctypes.data,
+            state.pas_hist.ctypes.data,
+            state.pas_counters.ctypes.data,
+            state.pending.ctypes.data,
+            pred.ctypes.data,
         )
 
-    def score(
-        self,
-        pred: np.ndarray,
-        truth: np.ndarray,
-        mask_words: np.ndarray,
-        writers: np.ndarray,
-        exclude_writer: bool,
-        n_words: int,
-    ) -> Tuple[int, int, int]:
-        out = np.zeros(3, dtype=np.int64)
-        self._lib.repro_kernel_score(
-            ctypes.c_int64(len(writers)),
-            ctypes.c_int64(n_words),
-            self._ptr(pred, ctypes.c_uint64),
-            self._ptr(truth, ctypes.c_uint64),
-            self._ptr(mask_words, ctypes.c_uint64),
-            self._ptr(writers, ctypes.c_int64),
-            ctypes.c_int32(1 if exclude_writer else 0),
-            self._ptr(out, ctypes.c_int64),
-        )
-        return int(out[0]), int(out[1]), int(out[2])
 
+class DenseIds:
+    """Stable dense ids for int64 values, learned chunk by chunk.
 
-def _build_numba_engine():  # pragma: no cover - requires numba in the environment
-    """The ``@njit`` transcription of the C loop, when numba is importable.
-
-    A direct line-for-line port of ``repro_kernel_run`` over the same flat
-    arrays; scoring stays on the shared numpy path (the njit loop is the
-    part that buys the speedup).  Gated -- like the C engine -- behind the
-    probe self-check in :meth:`NativeKernelBackend.available`, so a numba
-    miscompile falls through to the C engine rather than shipping wrong
-    predictions.
+    The compiled loop indexes its flat state arrays by dense entry and
+    block ids.  A stream meets its keys chunk by chunk, so the id map
+    lives across chunks: a value keeps its id for the stream's life, and
+    values new in a chunk take the next free ids.  The map is a sorted
+    value array plus the id of each value, so a chunk costs one
+    ``searchsorted`` (and one ``np.insert`` when it brings new values).
     """
-    import numba
 
-    @numba.njit(cache=False)
-    def run(mode, function, window, depth, num_nodes, n_words,
-            entries, blocks, has_inval, inval, truth,
-            bitmap_hist, ring_len, ring_pos, pas_hist, pas_counters,
-            pending, pred):
-        is_pas = function == 4
-        counters_per_entry = num_nodes << depth
-        history_mask = (1 << depth) - 1
-        for i in range(entries.shape[0]):
-            entry = entries[i]
-            for phase in range(3):
-                # phase 0: pre-prediction update, phase 1: predict,
-                # phase 2: post-prediction (ordered) update
-                target = entry
-                feedback_row = i
-                source_inval = True
-                if phase == 0:
-                    if mode == 0:
-                        if not has_inval[i]:
-                            continue
-                        target = entry
-                        feedback_row = i
-                        source_inval = True
-                    elif mode == 1:
-                        block = blocks[i]
-                        if has_inval[i]:
-                            predictor = pending[block]
-                            if predictor < 0:
-                                return 1
-                            target = predictor
-                            feedback_row = i
-                            source_inval = True
-                            pending[block] = entry
-                        else:
-                            pending[block] = entry
-                            continue
-                    else:
-                        continue
-                elif phase == 2:
-                    if mode != 2:
-                        continue
-                    target = entry
-                    feedback_row = i
-                    source_inval = False
-                if phase == 1:
-                    # predict into pred[i]
-                    for w in range(n_words):
-                        pred[i, w] = 0
-                    if is_pas:
-                        for node in range(num_nodes):
-                            slot = (entry * counters_per_entry
-                                    + (node << depth) + pas_hist[entry * num_nodes + node])
-                            if pas_counters[slot] >= 2:
-                                pred[i, node >> 6] |= np.uint64(1) << np.uint64(node & 63)
-                    else:
-                        length = ring_len[entry]
-                        base = entry * window
-                        if function == 3:  # overlap
-                            if length >= 1:
-                                newest = (ring_pos[entry] + window - 1) % window
-                                if length == 1:
-                                    for w in range(n_words):
-                                        pred[i, w] = bitmap_hist[base + newest, w]
-                                else:
-                                    prev = (ring_pos[entry] + window - 2) % window
-                                    overlap = np.uint64(0)
-                                    for w in range(n_words):
-                                        overlap |= (bitmap_hist[base + newest, w]
-                                                    & bitmap_hist[base + prev, w])
-                                    if overlap != np.uint64(0):
-                                        for w in range(n_words):
-                                            pred[i, w] = bitmap_hist[base + newest, w]
-                        elif function == 2:  # inter
-                            if length >= 1:
-                                for w in range(n_words):
-                                    pred[i, w] = bitmap_hist[base, w]
-                                for slot in range(1, length):
-                                    for w in range(n_words):
-                                        pred[i, w] &= bitmap_hist[base + slot, w]
-                        else:  # last / union
-                            for slot in range(length):
-                                for w in range(n_words):
-                                    pred[i, w] |= bitmap_hist[base + slot, w]
-                    continue
-                # apply the update selected by phase 0 / phase 2
-                if is_pas:
-                    for node in range(num_nodes):
-                        history = pas_hist[target * num_nodes + node]
-                        slot = target * counters_per_entry + (node << depth) + history
-                        if source_inval:
-                            bit = (inval[feedback_row, node >> 6]
-                                   >> np.uint64(node & 63)) & np.uint64(1)
-                        else:
-                            bit = (truth[feedback_row, node >> 6]
-                                   >> np.uint64(node & 63)) & np.uint64(1)
-                        if bit != np.uint64(0):
-                            if pas_counters[slot] < 3:
-                                pas_counters[slot] += 1
-                            pas_hist[target * num_nodes + node] = (
-                                (history << 1) | 1
-                            ) & history_mask
-                        else:
-                            if pas_counters[slot] > 0:
-                                pas_counters[slot] -= 1
-                            pas_hist[target * num_nodes + node] = (history << 1) & history_mask
-                else:
-                    slot = target * window + ring_pos[target]
-                    for w in range(n_words):
-                        if source_inval:
-                            bitmap_hist[slot, w] = inval[feedback_row, w]
-                        else:
-                            bitmap_hist[slot, w] = truth[feedback_row, w]
-                    ring_pos[target] = (ring_pos[target] + 1) % window
-                    if ring_len[target] < window:
-                        ring_len[target] += 1
-        return 0
+    __slots__ = ("_values", "_ids")
 
-    class _NumbaEngine:
-        name = "numba"
+    def __init__(self) -> None:
+        self._values = np.zeros(0, dtype=np.int64)
+        self._ids = np.zeros(0, dtype=np.int32)
 
-        def run(self, mode, function, window, depth, num_nodes, n_words,
-                entries, blocks, has_inval, inval, truth, state, pred):
-            return run(
-                mode, function, window, depth, num_nodes, n_words,
-                entries, blocks, has_inval, inval, truth,
-                state.bitmap_hist.reshape(-1, n_words),
-                state.ring_len, state.ring_pos,
-                state.pas_hist, state.pas_counters, state.pending, pred,
-            )
+    def __len__(self) -> int:
+        return len(self._values)
 
-        score = None  # numba engine scores on the shared numpy path
-
-    return _NumbaEngine()
+    def lookup(self, values: np.ndarray) -> np.ndarray:
+        """The id of every value (int32, contiguous), learning new ones."""
+        values = np.asarray(values, dtype=np.int64)
+        known = self._values
+        if not len(known):
+            unique, inverse = np.unique(values, return_inverse=True)
+            self._values = unique
+            self._ids = np.arange(len(unique), dtype=np.int32)
+            return np.ascontiguousarray(inverse.reshape(-1), dtype=np.int32)
+        positions = np.searchsorted(known, values)
+        found = positions < len(known)
+        found[found] = known[positions[found]] == values[found]
+        if not found.all():
+            fresh = np.unique(values[~found])
+            slots = np.searchsorted(known, fresh)
+            next_ids = np.arange(len(known), len(known) + len(fresh), dtype=np.int32)
+            self._values = np.insert(known, slots, fresh)
+            self._ids = np.insert(self._ids, slots, next_ids)
+            positions = np.searchsorted(self._values, values)
+        return self._ids[positions]
 
 
 class NativeState:
-    """Flat per-run predictor state, allocated numpy-side.
+    """Flat predictor state of one stream, allocated numpy-side.
 
-    One instance per (scheme, trace) run -- predictor tables never carry
-    over between traces.  Unused family arrays are zero-length (the C side
-    only dereferences the family it was asked to run).
+    One instance per (scheme, trace) stream -- predictor tables never carry
+    over between traces.  The arrays are entry-major, so :meth:`reserve`
+    grows them by appending fresh entries (and fresh FORWARDED ``pending``
+    slots) as a stream meets new keys and blocks.  Unused family arrays
+    stay zero-length (the C side only dereferences the family it was asked
+    to run).
     """
 
-    __slots__ = ("bitmap_hist", "ring_len", "ring_pos", "pas_hist",
-                 "pas_counters", "pending")
+    __slots__ = ("is_pas", "window", "depth", "num_nodes", "n_words",
+                 "entries", "blocks", "bitmap_hist", "ring_len", "ring_pos",
+                 "pas_hist", "pas_counters", "pending")
 
     def __init__(
-        self, is_pas: bool, n_entries: int, n_blocks: int,
-        window: int, depth: int, num_nodes: int, n_words: int,
+        self, is_pas: bool, window: int, depth: int, num_nodes: int, n_words: int
     ) -> None:
-        if is_pas:
-            self.bitmap_hist = np.zeros(0, dtype=np.uint64)
-            self.ring_len = np.zeros(0, dtype=np.uint8)
-            self.ring_pos = np.zeros(0, dtype=np.uint8)
-            self.pas_hist = np.zeros(n_entries * num_nodes, dtype=np.uint32)
-            # counters start weakly-not-shared (twolevel._COUNTER_INIT)
-            self.pas_counters = np.full(
-                n_entries * (num_nodes << depth), 1, dtype=np.uint8
-            )
-        else:
-            self.bitmap_hist = np.zeros(n_entries * window * n_words, dtype=np.uint64)
-            self.ring_len = np.zeros(n_entries, dtype=np.uint8)
-            self.ring_pos = np.zeros(n_entries, dtype=np.uint8)
-            self.pas_hist = np.zeros(0, dtype=np.uint32)
-            self.pas_counters = np.zeros(0, dtype=np.uint8)
-        self.pending = np.full(max(n_blocks, 1), -1, dtype=np.int32)
+        self.is_pas = is_pas
+        self.window = window
+        self.depth = depth
+        self.num_nodes = num_nodes
+        self.n_words = n_words
+        self.entries = 0
+        self.blocks = 0
+        self.bitmap_hist = np.zeros(0, dtype=np.uint64)
+        self.ring_len = np.zeros(0, dtype=np.uint8)
+        self.ring_pos = np.zeros(0, dtype=np.uint8)
+        self.pas_hist = np.zeros(0, dtype=np.uint32)
+        self.pas_counters = np.zeros(0, dtype=np.uint8)
+        self.pending = np.full(1, -1, dtype=np.int32)
+
+    def reserve(self, entries: int, blocks: int) -> None:
+        """Make room for ``entries`` entries and ``blocks`` pending slots.
+
+        Capacity at least doubles on growth, so a long stream reallocates
+        O(log n) times; the first reservation is exact.
+        """
+        if entries > self.entries:
+            grow = max(entries, 2 * self.entries) - self.entries
+            if self.is_pas:
+                self.pas_hist = _grown(self.pas_hist, grow * self.num_nodes, 0)
+                # counters start weakly-not-shared (twolevel._COUNTER_INIT)
+                self.pas_counters = _grown(
+                    self.pas_counters, grow * (self.num_nodes << self.depth), 1
+                )
+            else:
+                self.bitmap_hist = _grown(
+                    self.bitmap_hist, grow * self.window * self.n_words, 0
+                )
+                self.ring_len = _grown(self.ring_len, grow, 0)
+                self.ring_pos = _grown(self.ring_pos, grow, 0)
+            self.entries += grow
+        if blocks > self.blocks:
+            grow = max(blocks, 2 * self.blocks) - self.blocks
+            tail = self.pending[: self.blocks]
+            self.pending = _grown(tail, grow, -1)
+            self.blocks += grow
+
+
+def _grown(array: np.ndarray, extra: int, fill: int) -> np.ndarray:
+    """``array`` followed by ``extra`` elements of ``fill``."""
+    return np.concatenate([array, np.full(extra, fill, dtype=array.dtype)])
 
 
 def _to_word_rows(column: np.ndarray, layout: BitmapLayout) -> np.ndarray:
@@ -608,6 +478,82 @@ def _from_word_rows(words: np.ndarray, layout: BitmapLayout) -> np.ndarray:
     return words.reshape(-1).astype(layout.dtype)
 
 
+#: stand-in for a column the chosen update mode never reads (the C loop
+#: takes every pointer but only dereferences the ones its mode uses)
+_UNUSED_IDS = np.zeros(1, dtype=np.int32)
+_UNUSED_ROWS = np.zeros((1, 1), dtype=np.uint64)
+
+
+class NativeKernelStream:
+    """One scheme's compiled predictor loop, resumable across chunks.
+
+    Holds the dense key and block id maps and the :class:`NativeState`
+    between :meth:`feed` calls, so feeding a trace in any chunking is
+    bit-identical to feeding it whole -- the FORWARDED ``pending`` array
+    carries each open epoch's predicting entry across chunk boundaries.
+    """
+
+    def __init__(self, engine: _CEngine, scheme: Scheme, num_nodes: int,
+                 layout: BitmapLayout) -> None:
+        self._engine = engine
+        self._layout = layout
+        self._num_nodes = num_nodes
+        self._mode = _MODE_CODES[scheme.update]
+        self._forwarded = scheme.update is UpdateMode.FORWARDED
+        self._ordered = scheme.update is UpdateMode.ORDERED
+        self._function = _FUNC_CODES[scheme.function]
+        self._window = _window(scheme)
+        self._depth = scheme.depth
+        self._keys = DenseIds()
+        self._blocks = DenseIds()
+        self._state = NativeState(
+            is_pas=scheme.function == "pas",
+            window=self._window,
+            depth=scheme.depth,
+            num_nodes=num_nodes,
+            n_words=layout.n_words,
+        )
+
+    def feed(self, chunk, keys: np.ndarray) -> np.ndarray:
+        """Raw (unmasked) predictions for one chunk, in the layout."""
+        layout = self._layout
+        if len(keys) != len(chunk):
+            raise ValueError(f"got {len(keys)} keys for {len(chunk)} events")
+        if len(chunk) == 0:
+            return layout.zeros(0)
+        ordered = self._ordered
+        entries = self._keys.lookup(keys)
+        blocks = self._blocks.lookup(chunk.block) if self._forwarded else _UNUSED_IDS
+        self._state.reserve(len(self._keys), len(self._blocks))
+        pred = np.empty((len(chunk), layout.n_words), dtype=np.uint64)
+        status = self._engine.run(
+            self._mode,
+            self._function,
+            self._window,
+            self._depth,
+            self._num_nodes,
+            layout.n_words,
+            entries,
+            blocks,
+            np.ascontiguousarray(chunk.has_inval, dtype=np.uint8),
+            _UNUSED_ROWS if ordered else _to_word_rows(chunk.inval, layout),
+            _to_word_rows(chunk.truth, layout) if ordered else _UNUSED_ROWS,
+            self._state,
+            pred,
+        )
+        if status != 0:
+            raise ValueError(
+                "native kernel: has_inval set on an event whose block has no "
+                "open epoch (inconsistent trace)"
+            )
+        return _from_word_rows(pred, layout)
+
+
+def _window(scheme: Scheme) -> int:
+    """History slots a scheme's ring holds (overlap-last keeps two)."""
+    return 2 if scheme.function == "overlap" else scheme.depth
+
+
 class NativeKernelBackend:
     """The compiled kernel backend (registry name: ``native``).
 
@@ -621,175 +567,55 @@ class NativeKernelBackend:
     name = "native"
 
     def __init__(self) -> None:
-        self._engine = None
+        self._engine: Optional[_CEngine] = None
         self._checked = False
 
-    # -- availability ---------------------------------------------------
-
     def available(self) -> bool:
-        """Compile (or import) an engine and gate it behind the self-check.
+        """Build the C engine and gate it behind the oracle self-check.
 
-        Engines are tried in preference order (numba, then the C build);
-        the first whose probe fingerprint matches the pure-Python oracle
-        wins.  The result is cached for the process lifetime.
+        The result is cached for the process lifetime.
         """
         if self._checked:
             return self._engine is not None
         self._checked = True
         from repro.core.kernel_backends import kernel_selfcheck
 
-        for build in (self._try_numba, self._try_cc):
-            engine = build()
-            if engine is None:
-                continue
-            self._engine = engine
-            try:
-                if kernel_selfcheck(self):
-                    logger.debug("native kernel engine %s passed self-check", engine.name)
-                    return True
-                logger.warning(
-                    "native kernel engine %s failed the oracle self-check; skipping",
-                    engine.name,
-                )
-            except Exception as error:  # noqa: BLE001 - any engine failure skips it
-                logger.warning(
-                    "native kernel engine %s raised during self-check (%s: %s); skipping",
-                    engine.name, type(error).__name__, error,
-                )
-            self._engine = None
-        return False
-
-    def _try_numba(self):
         try:
-            import numba  # noqa: F401
-        except ImportError:
-            return None
-        try:  # pragma: no cover - requires numba in the environment
-            return _build_numba_engine()
-        except Exception as error:  # noqa: BLE001  # pragma: no cover
-            logger.warning(
-                "numba kernel engine failed to build (%s: %s); trying the C engine",
-                type(error).__name__, error,
-            )
-            return None
-
-    def _try_cc(self):
-        try:
-            return _CEngine()
+            self._engine = _CEngine()
         except (OSError, RuntimeError) as error:
             logger.warning(
                 "C kernel engine unavailable (%s: %s)", type(error).__name__, error
             )
-            return None
-
-    @property
-    def engine_name(self) -> Optional[str]:
-        """Which compiled engine is active ("numba" or "cc"), or ``None``."""
-        return self._engine.name if self._engine is not None else None
-
-    # -- the backend contract -------------------------------------------
+            return False
+        try:
+            if kernel_selfcheck(self):
+                logger.debug("native kernel engine passed self-check")
+                return True
+            logger.warning("native kernel engine failed the oracle self-check")
+        except Exception as error:  # noqa: BLE001 - any engine failure disables it
+            logger.warning(
+                "native kernel engine raised during self-check (%s: %s)",
+                type(error).__name__, error,
+            )
+        self._engine = None
+        return False
 
     def supports(self, scheme: Scheme) -> bool:
         function = scheme.function
         if function == "pas":
             return scheme.depth <= MAX_NATIVE_PAS_DEPTH
         if function in ("last", "union", "inter", "overlap"):
-            return self._window(scheme) <= MAX_NATIVE_WINDOW
+            return _window(scheme) <= MAX_NATIVE_WINDOW
         return False
 
-    @staticmethod
-    def _window(scheme: Scheme) -> int:
-        return 2 if scheme.function == "overlap" else scheme.depth
-
-    def _run(
-        self, scheme: Scheme, trace: SharingTrace, keys: np.ndarray
-    ) -> Tuple[np.ndarray, NativeState]:
-        """Drive the compiled loop; returns (prediction word rows, state)."""
+    def stream(
+        self, scheme: Scheme, num_nodes: int, layout: BitmapLayout
+    ) -> NativeKernelStream:
+        """A fresh resumable compiled loop for one (scheme, trace)."""
         if self._engine is None and not self.available():
             raise RuntimeError(
                 "native kernel backend is unavailable on this machine; "
-                "route through repro.core.kernel_backends.kernel_predict, "
+                "route through repro.core.kernel_backends.kernel_stream, "
                 "which falls back to the pure-Python backend"
             )
-        layout = trace.layout
-        n_words = layout.n_words
-        is_pas = scheme.function == "pas"
-        _, entries = np.unique(np.asarray(keys, dtype=np.int64), return_inverse=True)
-        entries = np.ascontiguousarray(entries, dtype=np.int32)
-        blocks_unique, blocks = np.unique(trace.block, return_inverse=True)
-        blocks = np.ascontiguousarray(blocks, dtype=np.int32)
-        has_inval = np.ascontiguousarray(trace.has_inval, dtype=np.uint8)
-        inval = _to_word_rows(trace.inval, layout)
-        truth = _to_word_rows(trace.truth, layout)
-        state = NativeState(
-            is_pas=is_pas,
-            n_entries=int(entries.max()) + 1 if len(entries) else 0,
-            n_blocks=len(blocks_unique),
-            window=self._window(scheme),
-            depth=scheme.depth,
-            num_nodes=trace.num_nodes,
-            n_words=n_words,
-        )
-        pred = np.zeros((len(trace), n_words), dtype=np.uint64)
-        status = self._engine.run(
-            _MODE_CODES[scheme.update],
-            _FUNC_CODES[scheme.function],
-            self._window(scheme),
-            scheme.depth,
-            trace.num_nodes,
-            n_words,
-            entries,
-            blocks,
-            has_inval,
-            inval,
-            truth,
-            state,
-            pred,
-        )
-        if status != 0:
-            raise ValueError(
-                "native kernel: has_inval set on an event whose block has no "
-                "open epoch (inconsistent trace)"
-            )
-        return pred, state
-
-    def predict(
-        self, scheme: Scheme, trace: SharingTrace, keys: np.ndarray
-    ) -> np.ndarray:
-        """Raw (unmasked) per-event predictions in the trace's layout."""
-        if len(trace) == 0:
-            return trace.layout.zeros(0)
-        pred, _state = self._run(scheme, trace, keys)
-        return _from_word_rows(pred, trace.layout)
-
-    def evaluate(
-        self,
-        scheme: Scheme,
-        trace: SharingTrace,
-        keys: np.ndarray,
-        exclude_writer: bool,
-    ) -> Tuple[int, int, int, int]:
-        """Fused predict + popcount confusion counting, all compiled.
-
-        Returns the ``(tp, fp, fn, tn)`` quad -- bit-identical to masking
-        :meth:`predict` and scoring it on the shared numpy path, enforced
-        by the conformance suite.
-        """
-        layout = trace.layout
-        if len(trace) == 0:
-            return 0, 0, 0, 0
-        pred, _state = self._run(scheme, trace, keys)
-        if self._engine.score is None:  # pragma: no cover - numba engine only
-            from repro.core.kernel_backends import score_predictions
-
-            return score_predictions(
-                _from_word_rows(pred, layout), scheme, trace, exclude_writer
-            )
-        mask_words = np.ascontiguousarray(layout.mask_words, dtype=np.uint64)
-        truth = _to_word_rows(trace.truth, layout)
-        writers = np.ascontiguousarray(trace.writer, dtype=np.int64)
-        tp, fp, fn = self._engine.score(
-            pred, truth, mask_words, writers, exclude_writer, layout.n_words
-        )
-        total = len(trace) * trace.num_nodes
-        return tp, fp, fn, total - tp - fp - fn
+        return NativeKernelStream(self._engine, scheme, num_nodes, layout)

@@ -1,63 +1,40 @@
-"""The sweep planner: share every pass a scheme batch can legally share.
+"""The sweep planner: group a scheme batch so every pass is shared.
 
 A design-space sweep evaluates hundreds of schemes that differ only along
-one axis at a time, so most of the per-scheme work is redundant:
-
-* every scheme with the same :class:`IndexSpec` (including its pc/addr
-  truncation -- truncation is part of the spec) reads a byte-identical key
-  stream, so :func:`repro.core.vectorized.compute_keys` needs to run once
-  per *(trace, index group)*, not once per scheme;
-* every bitmap-family scheme sharing ``(IndexSpec, update mode)`` folds the
-  same sorted feedback stream, so the sort + ``searchsorted`` + history
-  gather (:class:`~repro.core.vectorized._BitmapPass`) runs once per batch
-  at the batch's maximum window, and each scheme contributes only its cheap
-  per-depth reduction.
+one axis at a time, so most of the per-scheme work is redundant: every
+scheme with the same :class:`IndexSpec` (including its pc/addr truncation
+-- truncation is part of the spec) reads a byte-identical key stream, and
+every bitmap-family scheme sharing ``(IndexSpec, update mode)`` folds the
+same sorted feedback stream.
 
 :class:`SweepPlan` makes that sharing explicit and deterministic: it groups
 a scheme list by ``IndexSpec`` (first-appearance order), sub-groups each
 index group by prediction-function family (``bitmap`` / ``pas`` /
 ``sequential``), and records each scheme's original position so results --
 and the per-scheme ``on_result`` checkpoint callbacks that sweep journaling
-depends on -- are always reported against the caller's order.
+depends on -- are always reported against the caller's order.  The family
+batches are the units the parallel scheduler cuts chunks inside.
 
-:class:`KeyCache` holds the computed key streams, keyed by
-``(trace fingerprint, IndexSpec)``.  Fingerprint keying (content hash, not
-object identity) means equal traces share entries across batches within a
-cache's lifetime -- e.g. across every chunk a parallel worker evaluates.
-Hits and misses surface as ``plan.key_cache.hits`` / ``plan.key_cache.misses``
-telemetry, which is also the acceptance probe for the planner's central
-guarantee: exactly one key computation per (trace, index group).
-
+:func:`evaluate_plan` feeds each index group, all its families at once,
+to one :class:`~repro.core.windowed.StreamedSweep` per trace: keys once
+per (trace, index group), one bitmap pass per (index group, mode).
 Grouping is pure scheduling: :func:`evaluate_plan` is bit-identical to
-evaluating each scheme independently (frozen against the golden fixtures on
-every backend), so planner changes can never move a published number.
+evaluating each scheme independently (frozen against the golden fixtures
+on every backend), so planner changes can never move a published number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.indexing import IndexSpec
-from repro.core.kernel_backends import kernel_evaluate
 from repro.core.schemes import Scheme
-from repro.core.update import UpdateMode
-from repro.core.vectorized import (
-    _BITMAP_FUNCTIONS,
-    _bitmap_window,
-    _BitmapPass,
-    _merge_quad,
-    _predict_kernel,
-    _reduce_bitmap,
-    _score,
-    compute_keys,
-)
+from repro.core.vectorized import _BITMAP_FUNCTIONS
+from repro.core.windowed import evaluate_batch_streamed
 from repro.metrics.confusion import ConfusionCounts
-from repro.telemetry import get_telemetry
 from repro.trace.events import SharingTrace
-from repro.trace.shm import trace_fingerprint
+from repro.trace.source import TraceSource
 
 #: family names, in deterministic batch order within an index group
 FAMILY_BITMAP = "bitmap"
@@ -86,9 +63,9 @@ class PlanMember:
 class FamilyBatch:
     """Schemes of one family within one index group.
 
-    A bitmap batch is scored with one shared :class:`_BitmapPass` per update
-    mode present; pas/sequential batches still run per scheme but share the
-    group's key stream.
+    A bitmap batch is scored with one shared pass per update mode present;
+    pas/sequential batches still run one kernel stream per scheme but
+    share the group's key stream.
     """
 
     family: str
@@ -202,108 +179,11 @@ class SweepPlan:
             )
 
 
-class KeyCache:
-    """Fingerprint-keyed cache of per-(trace, IndexSpec) key streams.
-
-    The fingerprint (a content hash of the trace arrays) is memoized per
-    trace object, so repeated lookups hash each trace once per cache
-    lifetime, not once per scheme.  Every miss is exactly one
-    :func:`compute_keys` call; the planner's one-computation-per-group
-    guarantee is therefore directly observable from the
-    ``plan.key_cache.*`` counters.
-    """
-
-    def __init__(self) -> None:
-        self._streams: Dict[Tuple[str, IndexSpec], np.ndarray] = {}
-        self._fingerprints: Dict[int, str] = {}
-        # pin fingerprinted traces so id() reuse cannot alias the memo
-        self._pinned: List[SharingTrace] = []
-
-    def _fingerprint(self, trace: SharingTrace) -> str:
-        fingerprint = self._fingerprints.get(id(trace))
-        if fingerprint is None:
-            fingerprint = trace_fingerprint(trace)
-            self._fingerprints[id(trace)] = fingerprint
-            self._pinned.append(trace)
-        return fingerprint
-
-    def key_stream(self, trace: SharingTrace, spec: IndexSpec) -> np.ndarray:
-        """The (cached) :func:`compute_keys` stream for ``(trace, spec)``."""
-        telemetry = get_telemetry()
-        cache_key = (self._fingerprint(trace), spec)
-        stream = self._streams.get(cache_key)
-        if stream is None:
-            stream = compute_keys(spec, trace)
-            self._streams[cache_key] = stream
-            telemetry.count("plan.key_cache.misses")
-        else:
-            telemetry.count("plan.key_cache.hits")
-        return stream
-
-    def clear(self) -> None:
-        self._streams.clear()
-        self._fingerprints.clear()
-        self._pinned.clear()
-
-
-def _predict_batch(
-    batch: FamilyBatch,
-    spec: IndexSpec,
-    trace: SharingTrace,
-    key_cache: KeyCache,
-    exclude_writer: bool,
-) -> List[np.ndarray]:
-    """Prediction arrays for every member of one batch on one trace.
-
-    This is where the sharing happens: one key stream for the whole batch,
-    and -- for bitmap batches -- one :class:`_BitmapPass` per update mode
-    present, gathered at the batch's maximum window so every member reduces
-    over its own prefix of the same gather.  ``plan.trace_passes`` counts
-    the full trace passes actually made (one per bitmap (mode) sub-batch,
-    one per pas/sequential scheme); the saving relative to
-    ``len(batch) * len(traces)`` is the planner's whole point.
-    """
-    telemetry = get_telemetry()
-    if len(trace) == 0:
-        return [trace.layout.zeros(0) for _ in batch.members]
-    keys = key_cache.key_stream(trace, spec)
-    predictions: List[Optional[np.ndarray]] = [None] * len(batch.members)
-
-    if batch.family == FAMILY_BITMAP:
-        by_mode: Dict[UpdateMode, List[int]] = {}
-        for offset, member in enumerate(batch.members):
-            by_mode.setdefault(member.scheme.update, []).append(offset)
-        for mode, offsets in by_mode.items():
-            window = max(
-                _bitmap_window(batch.members[offset].scheme) for offset in offsets
-            )
-            shared = _BitmapPass(trace, keys, mode, window)
-            telemetry.count("plan.trace_passes")
-            for offset in offsets:
-                scheme = batch.members[offset].scheme
-                predictions[offset] = _reduce_bitmap(
-                    scheme.function,
-                    _bitmap_window(scheme),
-                    shared,
-                    trace.num_nodes,
-                )
-    else:
-        for offset, member in enumerate(batch.members):
-            predictions[offset] = _predict_kernel(member.scheme, trace, keys)
-            telemetry.count("plan.trace_passes")
-
-    if exclude_writer:
-        writer_bit = trace.layout.writer_bits(trace.writer)
-        predictions = [array & ~writer_bit for array in predictions]
-    return predictions  # type: ignore[return-value]
-
-
 def evaluate_plan(
     plan: SweepPlan,
-    traces: Sequence[SharingTrace],
+    traces: Sequence[Union[SharingTrace, TraceSource]],
     *,
     exclude_writer: bool = True,
-    key_cache: Optional[KeyCache] = None,
     on_result: Optional[Callable[[int, List[ConfusionCounts]], None]] = None,
 ) -> List[List[ConfusionCounts]]:
     """Execute a plan: per-trace confusion counts for every scheme.
@@ -311,48 +191,20 @@ def evaluate_plan(
     Returns the same shape, in the same caller order, as
     ``EvaluationEngine.evaluate_batch`` -- one list per scheme, one
     :class:`ConfusionCounts` per trace -- and fires ``on_result`` once per
-    scheme as its batch finishes the suite (batch-grouped, so possibly out
-    of the caller's order; journaling already handles that).  Pass a
-    long-lived ``key_cache`` to share key streams across calls (the
-    parallel workers do); by default each call gets a private cache.
+    scheme as its index group finishes the suite (group-ordered, so
+    possibly out of the caller's order; journaling already handles that).
     """
-    if key_cache is None:
-        key_cache = KeyCache()
-    telemetry = get_telemetry()
     results: List[Optional[List[ConfusionCounts]]] = [None] * plan.num_schemes
     for group in plan.groups:
-        for batch in group.batches:
-            per_member: List[List[ConfusionCounts]] = [
-                [] for _ in range(len(batch.members))
-            ]
-            for trace in traces:
-                if batch.family == FAMILY_BITMAP:
-                    arrays = _predict_batch(
-                        batch, group.spec, trace, key_cache, exclude_writer
-                    )
-                    for offset, predictions in enumerate(arrays):
-                        counts = ConfusionCounts()
-                        if len(trace):
-                            _score(predictions, trace, counts)
-                        per_member[offset].append(counts)
-                    continue
-                # Per-event families: the registry's fused path predicts and
-                # popcount-scores inside the active kernel backend, sharing
-                # the group's cached key stream.  Still one trace pass per
-                # scheme (counter state can't be shared across schemes).
-                keys = key_cache.key_stream(trace, group.spec) if len(trace) else None
-                for offset, member in enumerate(batch.members):
-                    counts = ConfusionCounts()
-                    if len(trace):
-                        _merge_quad(
-                            counts,
-                            kernel_evaluate(member.scheme, trace, keys, exclude_writer),
-                        )
-                        telemetry.count("plan.trace_passes")
-                    per_member[offset].append(counts)
-            for member, per_trace in zip(batch.members, per_member):
-                results[member.position] = per_trace
-                if on_result is not None:
-                    on_result(member.position, per_trace)
-    assert all(entry is not None for entry in results)
+        members = [member for batch in group.batches for member in batch.members]
+        schemes = [member.scheme for member in members]
+        columns = [
+            evaluate_batch_streamed(schemes, trace, exclude_writer=exclude_writer)
+            for trace in traces
+        ]
+        for offset, member in enumerate(members):
+            per_trace = [column[offset] for column in columns]
+            results[member.position] = per_trace
+            if on_result is not None:
+                on_result(member.position, per_trace)
     return results  # type: ignore[return-value]

@@ -24,25 +24,15 @@ Delivery times are unique within a mode (an event closes at most one epoch),
 so one ``searchsorted`` over a composite ``(key, time)`` ordering recovers
 each prediction's history window exactly.
 
-The expensive parts of a sweep are *shared*, not per-scheme, and the module
-is factored accordingly so :mod:`repro.core.plan` can reuse them:
-
-* :func:`compute_keys` depends only on the :class:`IndexSpec`, so every
-  scheme in an index group reads the same key stream;
-* :class:`_BitmapPass` -- the feedback sort + ``searchsorted`` + history
-  gather -- depends only on ``(keys, update mode, max window)``, so all
-  depths and functions of a bitmap batch reduce over one pass via
-  :func:`_reduce_bitmap`.
-
-PAs entries carry counter state that depends on the full feedback sequence,
-not a window, so they (and arbitrary
-:class:`~repro.core.functions.PredictionFunction` objects -- the
-confidence-gated extensions) run the per-event loop through the kernel
-backend registry (:mod:`repro.core.kernel_backends`): the compiled
-``native`` backend when one is available, else the pure-Python
-:class:`~repro.core.kernel.PredictorKernel` -- bit-identically, per the
-registry contract.  Either way the update-timing state machine is shared
-with the reference evaluator by construction.
+This module holds the pieces of that math that do not depend on how the
+trace is chunked -- :func:`compute_keys` (a property of the
+:class:`IndexSpec`, so every scheme in an index group reads the same key
+stream) and :func:`_reduce_bitmap` (folding one prediction function over a
+gathered history window) -- plus the public per-scheme entry points.  The
+pass itself runs in :mod:`repro.core.windowed`, which evaluates every
+trace as a chunk stream (a resident trace is one chunk); PAs and the
+confidence-gated extensions run the per-event loop through the kernel
+backend registry (:mod:`repro.core.kernel_backends`).
 
 ``evaluate_scheme_fast`` is property-tested against the reference evaluator
 in ``tests/core/test_vectorized_equivalence.py``.
@@ -50,26 +40,23 @@ in ``tests/core/test_vectorized_equivalence.py``.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.core.indexing import IndexSpec
-from repro.core.kernel_backends import kernel_evaluate, kernel_predict, score_predictions
 from repro.core.schemes import Scheme
-from repro.core.update import UpdateMode
 from repro.metrics.confusion import ConfusionCounts
 from repro.trace.events import SharingTrace
-from repro.util.bitmaps import POPCOUNT16
+from repro.trace.source import TraceSource
 
 _BITMAP_FUNCTIONS = ("last", "union", "inter", "overlap")
 
 
 def predict_scheme_fast(
     scheme: Scheme,
-    trace: SharingTrace,
+    trace: Union[SharingTrace, TraceSource],
     exclude_writer: bool = True,
-    keys: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The per-event prediction bitmaps ``scheme`` emits over ``trace``.
 
@@ -78,51 +65,28 @@ def predict_scheme_fast(
     for paper-sized machines) -- the fast-path counterpart of
     :func:`repro.core.evaluator.predict_scheme`, and the array
     :func:`repro.forwarding.replay_traffic` consumes.
-
-    ``keys`` optionally supplies a precomputed :func:`compute_keys` stream
-    for ``scheme.index`` (the sweep planner's key cache); omitted, the keys
-    are computed here.  Passing cached keys is bit-identical by definition
-    -- the same function produced them.
     """
-    if len(trace) == 0:
-        return trace.layout.zeros(0)
-    if keys is None:
-        keys = compute_keys(scheme.index, trace)
-    if scheme.function in _BITMAP_FUNCTIONS:
-        window = _bitmap_window(scheme)
-        shared = _BitmapPass(trace, keys, scheme.update, window)
-        predictions = _reduce_bitmap(scheme.function, window, shared, trace.num_nodes)
-    else:
-        # Per-event families (PAs counters, confidence-gated extensions):
-        # the kernel backend registry picks the compiled loop when one is
-        # available, the pure-Python PredictorKernel otherwise.
-        predictions = _predict_kernel(scheme, trace, keys)
+    from repro.core.windowed import predict_column
 
-    if exclude_writer:
-        predictions = predictions & ~trace.layout.writer_bits(trace.writer)
-    return predictions
+    return predict_column(scheme, trace, exclude_writer=exclude_writer)
 
 
 def evaluate_scheme_fast(
     scheme: Scheme,
-    trace: SharingTrace,
+    trace: Union[SharingTrace, TraceSource],
     exclude_writer: bool = True,
     counts: Optional[ConfusionCounts] = None,
 ) -> ConfusionCounts:
-    """Drop-in fast replacement for :func:`repro.core.evaluator.evaluate_scheme`."""
+    """Drop-in fast replacement for :func:`repro.core.evaluator.evaluate_scheme`.
+
+    Accepts a resident trace or any :class:`~repro.trace.source.TraceSource`.
+    """
+    from repro.core.windowed import evaluate_batch_streamed
+
+    result = evaluate_batch_streamed([scheme], trace, exclude_writer=exclude_writer)[0]
     if counts is None:
-        counts = ConfusionCounts()
-    if len(trace) == 0:
-        return counts
-    if scheme.function in _BITMAP_FUNCTIONS:
-        predictions = predict_scheme_fast(scheme, trace, exclude_writer=exclude_writer)
-        _score(predictions, trace, counts)
-    else:
-        # Per-event families go through the registry's fused path, so a
-        # native backend predicts *and* scores without materializing the
-        # prediction column in Python (popcount confusion counting in C).
-        keys = compute_keys(scheme.index, trace)
-        _merge_quad(counts, kernel_evaluate(scheme, trace, keys, exclude_writer))
+        return result
+    counts.merge(result)
     return counts
 
 
@@ -135,8 +99,9 @@ def compute_keys(spec: IndexSpec, trace: SharingTrace) -> np.ndarray:
     """Vectorized mirror of :meth:`IndexSpec.key` over the whole trace.
 
     Takes the :class:`IndexSpec` rather than a scheme: the key stream is a
-    property of the index group, which is exactly what lets the sweep
-    planner compute it once and share it across every scheme in the group.
+    property of the index group, which is exactly what lets a sweep
+    compute it once and share it across every scheme in the group.
+    ``trace`` may be a trace chunk.
     """
     num_nodes = trace.num_nodes
     node_bits = spec.node_bits(num_nodes)
@@ -166,75 +131,14 @@ def _bitmap_window(scheme: Scheme) -> int:
     return 2 if scheme.function == "overlap" else scheme.depth
 
 
-def _feedback_stream(
-    mode: UpdateMode, trace: SharingTrace, keys: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    """Return (feedback keys, values, delivery times, searchsorted side)."""
-    length = len(trace)
-    if mode is UpdateMode.DIRECT:
-        selector = trace.has_inval
-        return keys[selector], trace.inval[selector], np.nonzero(selector)[0], "right"
-    if mode is UpdateMode.FORWARDED:
-        selector = trace.close < length
-        return keys[selector], trace.truth[selector], trace.close[selector], "right"
-    if mode is UpdateMode.ORDERED:
-        return keys, trace.truth, np.arange(length, dtype=np.int64), "left"
-    raise AssertionError(f"unhandled update mode {mode}")  # pragma: no cover
+def _reduce_bitmap(function: str, window: int, shared) -> np.ndarray:
+    """Fold one scheme's prediction function over a shared history gather.
 
-
-class _BitmapPass:
-    """The shared per-(key stream, update mode) trace pass.
-
-    Sorts the mode's feedback stream into composite ``(key, time)`` order,
-    locates every prediction's history window with two ``searchsorted``
-    calls, and gathers up to ``window`` most-recent feedback bitmaps per
-    event.  Everything here is independent of the prediction function and
-    of any depth ``<= window``: slot *s* of :attr:`gathered` is the
-    *(s+1)*-th most recent feedback (zero-filled outside the window), so a
-    scheme of depth ``d`` simply reduces over the first ``d`` slots.  That
-    is the whole shared-pass trick -- one sort and one gather score an
-    entire batch of bitmap schemes.
-    """
-
-    __slots__ = ("length", "layout", "available", "gathered")
-
-    def __init__(
-        self, trace: SharingTrace, keys: np.ndarray, mode: UpdateMode, window: int
-    ) -> None:
-        length = len(trace)
-        layout = trace.layout
-        fb_keys, fb_values, fb_times, side = _feedback_stream(mode, trace, keys)
-
-        # Composite (key, time) ordering.  time <= length, so (length + 1)
-        # keeps keys in distinct, non-overlapping ranges.
-        stride = np.int64(length + 1)
-        fb_composite = fb_keys * stride + fb_times
-        order = np.argsort(fb_composite, kind="stable")
-        fb_composite = fb_composite[order]
-        fb_values = fb_values[order].astype(layout.dtype)
-
-        use_composite = keys * stride + np.arange(length, dtype=np.int64)
-        positions = np.searchsorted(fb_composite, use_composite, side=side)
-        group_starts = np.searchsorted(fb_composite, keys * stride, side="left")
-
-        self.length = length
-        self.layout = layout
-        #: feedback values already delivered to each event's entry
-        self.available = positions - group_starts
-        self.gathered = layout.gather_zeros(window, length)
-        for slot in range(1, window + 1):
-            indices = positions - slot
-            in_window = indices >= group_starts
-            self.gathered[slot - 1, in_window] = fb_values[indices[in_window]]
-
-
-def _reduce_bitmap(
-    function: str, window: int, shared: _BitmapPass, num_nodes: int
-) -> np.ndarray:
-    """Fold one scheme's prediction function over a shared bitmap pass.
-
-    ``window`` is the scheme's own slot count and may be smaller than the
-    pass's gather width (the planner gathers once at the batch maximum).
+    ``shared`` carries ``length``, ``layout``, ``available`` (feedback
+    values delivered to each event's entry so far) and ``gathered`` (slot
+    *s* is each event's *(s+1)*-th most recent feedback, zero outside the
+    window).  ``window`` is the scheme's own slot count and may be smaller
+    than the gather width (a batch gathers once at its maximum window).
     """
     length = shared.length
     layout = shared.layout
@@ -260,56 +164,3 @@ def _reduce_bitmap(
             newest,  # 0 or 1 bitmaps stored: predict what is there (0 if none)
         )
     return predictions
-
-
-# ----------------------------------------------------------------------
-# Per-event families (PAs and arbitrary prediction functions)
-# ----------------------------------------------------------------------
-
-
-def _predict_kernel(scheme: Scheme, trace: SharingTrace, keys: np.ndarray) -> np.ndarray:
-    """Per-event evaluation via the active kernel backend.
-
-    Same update timing as the reference evaluator by construction (every
-    backend is held to :class:`~repro.core.kernel.PredictorKernel` by the
-    conformance suite), but keyed by the vectorized key stream and
-    producing the raw prediction array so scoring/masking stay shared with
-    the fast paths.
-    """
-    return kernel_predict(scheme, trace, keys)
-
-
-# ----------------------------------------------------------------------
-# Scoring
-# ----------------------------------------------------------------------
-
-
-def _popcount_array(values: np.ndarray) -> np.ndarray:
-    """Population count of a uint32 array via the 16-bit lookup table."""
-    low = POPCOUNT16[values & np.uint32(0xFFFF)]
-    high = POPCOUNT16[values >> np.uint32(16)]
-    return low.astype(np.int64) + high.astype(np.int64)
-
-
-def _merge_quad(counts: ConfusionCounts, quad: Tuple[int, int, int, int]) -> None:
-    """Fold a ``(tp, fp, fn, tn)`` quad into a counts accumulator."""
-    counts.true_positive += quad[0]
-    counts.false_positive += quad[1]
-    counts.false_negative += quad[2]
-    counts.true_negative += quad[3]
-
-
-def _score(predictions: np.ndarray, trace: SharingTrace, counts: ConfusionCounts) -> None:
-    """Score an already-masked prediction column (delegates to the one
-    normative scorer in :mod:`repro.core.kernel_backends`)."""
-    _merge_quad(counts, score_predictions(predictions, trace, exclude_writer=False))
-
-
-def evaluate_scheme_fast_multi(
-    scheme: Scheme, traces, exclude_writer: bool = True
-) -> ConfusionCounts:
-    """Evaluate one scheme across several traces (fresh state per trace)."""
-    counts = ConfusionCounts()
-    for trace in traces:
-        evaluate_scheme_fast(scheme, trace, exclude_writer=exclude_writer, counts=counts)
-    return counts

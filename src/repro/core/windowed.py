@@ -1,13 +1,15 @@
-"""Streamed scheme evaluation: the vectorized passes over event windows.
+"""The one evaluation path: vectorized scheme evaluation over chunk streams.
 
-:mod:`repro.core.vectorized` assumes resident traces -- one global sort
-of the feedback stream, one ``searchsorted`` over all events.  This
-module runs the *same* math per :class:`~repro.trace.source.TraceChunk`,
-carrying exactly the state a bitmap-history predictor actually needs
-between windows, so a multi-gigabyte ``.rtrace`` evaluates at
-O(chunk + carried state) memory while staying **bit-identical** to the
-resident path (asserted over the golden fixtures by
-``tests/trace/test_stream_equivalence.py``).
+Every fast evaluation in the system -- a resident
+:class:`~repro.trace.events.SharingTrace` or a multi-gigabyte ``.rtrace``
+:class:`~repro.trace.source.TraceSource` -- runs here.  A resident trace
+is simply a one-chunk stream; a file-backed source is many chunks, and
+evaluates at O(chunk + carried state) memory with **bit-identical**
+results (asserted over the golden fixtures by
+``tests/engine/test_stream_equivalence.py``).  The math is the
+*(delivery time, feedback value)* labelling documented in
+:mod:`repro.core.vectorized`, run per :class:`~repro.trace.source.TraceChunk`
+with exactly the state a predictor needs between windows carried along.
 
 Carried-history construction
 ----------------------------
@@ -18,9 +20,8 @@ prediction times are expressed as ``absolute - s + W``, which leaves the
 band ``[0, W)`` free *below* every real event.  Into that band we inject
 each key's carried history -- its up-to-``W`` most recent feedback
 values from previous chunks, the *k*-th most recent at time ``W-1-k``.
-Then one :class:`~repro.core.vectorized._BitmapPass`-shaped sort +
-``searchsorted`` + gather over (carried + local) feedback reproduces the
-resident pass exactly, because
+Then one sort + ``searchsorted`` + gather over (carried + local) feedback
+reproduces a whole-trace pass exactly, because
 
 * slot *k* of the gather is the *(k+1)*-th most recent feedback, and the
   most recent ``min(W, true count)`` values are all present;
@@ -28,24 +29,26 @@ resident pass exactly, because
   with the true count on every comparison the reductions make
   (``> slot`` for ``slot < W``, ``== 0``, ``>= 2``): if the true count
   exceeds ``W``, both sides exceed every threshold; below ``W`` they are
-  equal.  (Chunk-size invariance is property-tested in
-  ``tests/trace/test_source.py``.)
+  equal.  (Chunk-size invariance is property-tested against the
+  reference evaluator in ``tests/core/test_vectorized_equivalence.py``.)
 
 After the pass, each key's new carried history is read off the sorted
 feedback (the per-key tail of carried + locally delivered values), so
 the state is self-renewing.  FORWARDED deliveries whose closing event
 falls beyond the chunk wait in a pending queue keyed by absolute
 delivery time; entries whose epoch never closes (``close == len``) are
-simply never released -- the same ``close < length`` selector as the
-resident pass.
+simply never released.
 
 Per-event families (PAs counters, confidence-gated functions) carry
-their state in a :class:`~repro.core.kernel.KernelStream` -- the
-pure-Python oracle's table fed window by window.  The compiled native
-backend has no resumable entry points, so streamed evaluation always
-uses the oracle loop for these families; the backend registry's
-conformance contract (native == python bit-for-bit) is what keeps
-streamed results identical under either ``REPRO_KERNEL`` setting.
+their state in a resumable kernel-backend stream
+(:func:`repro.core.kernel_backends.kernel_stream`): the compiled
+``native`` loop when one is available, else the pure-Python oracle --
+bit-identically at any chunking, by the registry's conformance contract.
+
+:class:`StreamedSweep` is the batch shape: keys once per index group per
+chunk, one bitmap pass per (index, mode) group at the group's maximum
+window, one kernel stream per per-event scheme, and the one normative
+scorer for every family.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.kernel import KernelStream, PasOps
+from repro.core.kernel_backends import kernel_stream, score_predictions
 from repro.core.schemes import Scheme
 from repro.core.update import UpdateMode
 from repro.core.vectorized import (
@@ -63,21 +66,24 @@ from repro.core.vectorized import (
     _reduce_bitmap,
     compute_keys,
 )
-from repro.core.kernel_backends import score_predictions
 from repro.metrics.confusion import ConfusionCounts
+from repro.telemetry import get_telemetry
 from repro.trace.events import SharingTrace
 from repro.trace.source import TraceChunk, TraceSource, as_source
 from repro.util.bitmaps import BitmapLayout
 
 
-class _WindowView:
-    """Duck-typed stand-in for ``_BitmapPass`` over one chunk's gather.
+def _chunks(
+    trace: Union[SharingTrace, TraceSource], chunk_events: Optional[int]
+) -> Iterator[TraceChunk]:
+    """A trace's chunk stream; a resident trace is one chunk by default."""
+    if chunk_events is None and isinstance(trace, SharingTrace):
+        chunk_events = max(1, len(trace))
+    return as_source(trace).chunks(chunk_events)
 
-    Carries exactly the four attributes
-    :func:`repro.core.vectorized._reduce_bitmap` reads, so the streamed
-    path folds prediction functions through the *same* reduction code as
-    the resident planner.
-    """
+
+class _WindowView:
+    """One chunk's history gather, as :func:`_reduce_bitmap` reads it."""
 
     __slots__ = ("length", "layout", "available", "gathered")
 
@@ -91,12 +97,11 @@ class _WindowView:
 class StreamedBitmapGroup:
     """Carried state for all bitmap schemes sharing one (index, mode).
 
-    The streamed counterpart of the planner's shared pass: one feedback
-    sort + gather per chunk at the group's maximum window serves every
-    depth in the group (smaller windows reduce over a slot prefix).
-    State between chunks is ``(keys, counts, values)`` -- for each key
-    with history, its up-to-``window`` most recent feedback bitmaps --
-    plus, for FORWARDED, the pending not-yet-closed deliveries.
+    One feedback sort + gather per chunk at the group's maximum window
+    serves every depth in the group (smaller windows reduce over a slot
+    prefix).  State between chunks is ``(keys, counts, values)`` -- for
+    each key with history, its up-to-``window`` most recent feedback
+    bitmaps -- plus, for FORWARDED, the pending not-yet-closed deliveries.
     """
 
     def __init__(self, mode: UpdateMode, layout: BitmapLayout, window: int):
@@ -204,8 +209,8 @@ class StreamedBitmapGroup:
             fb_values = np.concatenate(inject_values)
             fb_times = np.concatenate(inject_times)
 
-        # the _BitmapPass math in local time: times span [0, L + W), so
-        # L + W + 1 separates keys into disjoint composite ranges
+        # the labelled-feedback pass in local time: times span [0, L + W),
+        # so L + W + 1 separates keys into disjoint composite ranges
         stride = np.int64(length + window + 1)
         fb_composite = fb_keys * stride + fb_times
         order = np.argsort(fb_composite, kind="stable")
@@ -227,10 +232,12 @@ class StreamedBitmapGroup:
 
         # renew the carry: each key's tail (newest `window` values) of the
         # sorted carried+delivered stream becomes the next chunk's history
-        unique_keys, starts = np.unique(fb_sorted_keys, return_index=True)
-        ends = np.concatenate(
-            [starts[1:], np.asarray([len(fb_sorted_keys)], dtype=starts.dtype)]
-        ) if len(starts) else starts
+        # (the stream is sorted by key, so runs of equal keys are groups)
+        first = np.ones(len(fb_sorted_keys), dtype=bool)
+        first[1:] = fb_sorted_keys[1:] != fb_sorted_keys[:-1]
+        starts = np.flatnonzero(first)
+        ends = np.append(starts[1:], len(fb_sorted_keys))[: len(starts)]
+        unique_keys = fb_sorted_keys[starts]
         new_values = layout.gather_zeros(window, len(unique_keys))
         for slot in range(window):
             tail = ends - 1 - slot
@@ -246,35 +253,29 @@ class StreamedBitmapGroup:
 
 
 class _KernelSchemeState:
-    """Carried per-event-family state: the oracle kernel's table."""
+    """Carried per-event-family state: one kernel-backend stream.
+
+    A named boundary around the stream so per-event kernel time stays
+    attributable apart from the bitmap passes (the benchmark's traced run
+    in ``perfbench/`` times ``_KernelSchemeState.feed``).
+    """
 
     def __init__(self, scheme: Scheme, num_nodes: int, layout: BitmapLayout):
-        if scheme.function == "pas":
-            ops = PasOps(num_nodes, scheme.depth)
-        else:
-            ops = scheme.make_function(num_nodes)
-        self.stream = KernelStream(scheme.update, ops)
-        self.layout = layout
+        self.stream = kernel_stream(scheme, num_nodes, layout)
 
     def feed(self, chunk: TraceChunk, keys: np.ndarray) -> np.ndarray:
-        # drain the generator with list() before packing: np.fromiter
-        # stops *at* the n-th yield, which would leave ORDERED mode's
-        # post-yield update of the chunk's last event unexecuted -- lost
-        # state the resident path only ever "loses" at end-of-trace
-        values = list(self.stream.feed_chunk(chunk, np.asarray(keys).tolist()))
-        return self.layout.from_int_iter(values, count=len(chunk))
+        return self.stream.feed(chunk, keys)
 
 
 class StreamedSweep:
     """Evaluate a batch of schemes over one chunk stream in a single pass.
 
-    The streamed analogue of the sweep planner's per-trace batch: keys
-    are computed once per index group per chunk (the chunk-local
-    ``KeyCache``), bitmap schemes share one windowed pass per
-    (index, mode) group at the batch-max window, and per-event schemes
-    carry their kernel tables -- so adding schemes to a streamed sweep
-    costs reductions, not passes.  Feed every chunk in order, then
-    :meth:`finish`.
+    Keys are computed once per index group per chunk, bitmap schemes share
+    one windowed pass per (index, mode) group at the group's maximum
+    window, and per-event schemes carry their kernel streams -- so adding
+    schemes to a sweep costs reductions, not passes.  The passes a sweep
+    makes over its trace are counted under ``plan.trace_passes``.  Feed
+    every chunk in order, then :meth:`finish`.
     """
 
     def __init__(
@@ -285,27 +286,36 @@ class StreamedSweep:
         exclude_writer: bool = True,
     ):
         self.schemes = list(schemes)
-        self.num_nodes = num_nodes
         self.layout = layout
         self.exclude_writer = exclude_writer
         self.counts = [ConfusionCounts() for _ in self.schemes]
         self._index_by_label: Dict[str, object] = {}
-        self._bitmap_groups: Dict[Tuple[str, UpdateMode], StreamedBitmapGroup] = {}
+        # (index label, mode) -> (shared pass state, member positions)
+        self._bitmap_groups: Dict[
+            Tuple[str, UpdateMode], Tuple[StreamedBitmapGroup, List[int]]
+        ] = {}
         self._kernel_states: Dict[int, _KernelSchemeState] = {}
-        group_windows: Dict[Tuple[str, UpdateMode], int] = {}
+        members: Dict[Tuple[str, UpdateMode], List[int]] = {}
         for position, scheme in enumerate(self.schemes):
             self._index_by_label.setdefault(scheme.index.label, scheme.index)
             if scheme.function in _BITMAP_FUNCTIONS:
-                group = (scheme.index.label, scheme.update)
-                window = _bitmap_window(scheme)
-                group_windows[group] = max(group_windows.get(group, 0), window)
+                members.setdefault((scheme.index.label, scheme.update), []).append(
+                    position
+                )
             else:
                 self._kernel_states[position] = _KernelSchemeState(
                     scheme, num_nodes, layout
                 )
-        for group, window in group_windows.items():
-            self._bitmap_groups[group] = StreamedBitmapGroup(
-                group[1], layout, window
+        for group, positions in members.items():
+            window = max(_bitmap_window(self.schemes[p]) for p in positions)
+            self._bitmap_groups[group] = (
+                StreamedBitmapGroup(group[1], layout, window),
+                positions,
+            )
+        telemetry = get_telemetry()
+        if telemetry.enabled:
+            telemetry.count(
+                "plan.trace_passes", len(self._bitmap_groups) + len(self._kernel_states)
             )
 
     def feed(self, chunk: TraceChunk) -> None:
@@ -315,30 +325,33 @@ class StreamedSweep:
             label: compute_keys(spec, chunk)
             for label, spec in self._index_by_label.items()
         }
-        views: Dict[Tuple[str, UpdateMode], _WindowView] = {}
-        for group, state in self._bitmap_groups.items():
-            views[group] = state.feed(chunk, keys_by_label[group[0]])
         writer_mask = (
             ~self.layout.writer_bits(chunk.writer) if self.exclude_writer else None
         )
-        for position, scheme in enumerate(self.schemes):
-            if scheme.function in _BITMAP_FUNCTIONS:
-                view = views[(scheme.index.label, scheme.update)]
+        for (label, _mode), (state, positions) in self._bitmap_groups.items():
+            view = state.feed(chunk, keys_by_label[label])
+            for position in positions:
+                scheme = self.schemes[position]
                 predictions = _reduce_bitmap(
-                    scheme.function, _bitmap_window(scheme), view, self.num_nodes
+                    scheme.function, _bitmap_window(scheme), view
                 )
-            else:
-                predictions = self._kernel_states[position].feed(
-                    chunk, keys_by_label[scheme.index.label]
-                )
-            if writer_mask is not None:
-                predictions = predictions & writer_mask
-            quad = score_predictions(predictions, chunk, exclude_writer=False)
-            counts = self.counts[position]
-            counts.true_positive += quad[0]
-            counts.false_positive += quad[1]
-            counts.false_negative += quad[2]
-            counts.true_negative += quad[3]
+                self._score(position, predictions, chunk, writer_mask)
+            del view
+        for position, state in self._kernel_states.items():
+            predictions = state.feed(
+                chunk, keys_by_label[self.schemes[position].index.label]
+            )
+            self._score(position, predictions, chunk, writer_mask)
+
+    def _score(self, position, predictions, chunk, writer_mask) -> None:
+        if writer_mask is not None:
+            predictions = predictions & writer_mask
+        quad = score_predictions(predictions, chunk, exclude_writer=False)
+        counts = self.counts[position]
+        counts.true_positive += quad[0]
+        counts.false_positive += quad[1]
+        counts.false_negative += quad[2]
+        counts.true_negative += quad[3]
 
     def finish(self) -> List[ConfusionCounts]:
         return self.counts
@@ -350,34 +363,13 @@ def evaluate_batch_streamed(
     exclude_writer: bool = True,
     chunk_events: Optional[int] = None,
 ) -> List[ConfusionCounts]:
-    """Confusion counts for each scheme over one source, single chunk pass."""
-    source = as_source(source)
+    """Confusion counts for each scheme over one trace, single chunk pass."""
     sweep = StreamedSweep(
         schemes, source.num_nodes, source.layout, exclude_writer=exclude_writer
     )
-    for chunk in source.chunks(chunk_events):
+    for chunk in _chunks(source, chunk_events):
         sweep.feed(chunk)
     return sweep.finish()
-
-
-def evaluate_scheme_streamed(
-    scheme: Scheme,
-    source: Union[SharingTrace, TraceSource],
-    exclude_writer: bool = True,
-    counts: Optional[ConfusionCounts] = None,
-    chunk_events: Optional[int] = None,
-) -> ConfusionCounts:
-    """Streamed drop-in for :func:`repro.core.vectorized.evaluate_scheme_fast`."""
-    result = evaluate_batch_streamed(
-        [scheme], source, exclude_writer=exclude_writer, chunk_events=chunk_events
-    )[0]
-    if counts is None:
-        return result
-    counts.true_positive += result.true_positive
-    counts.false_positive += result.false_positive
-    counts.false_negative += result.false_negative
-    counts.true_negative += result.true_negative
-    return counts
 
 
 def predict_stream(
@@ -386,35 +378,45 @@ def predict_stream(
     exclude_writer: bool = True,
     chunk_events: Optional[int] = None,
 ) -> Iterator[Tuple[TraceChunk, np.ndarray]]:
-    """Yield ``(chunk, predictions)`` pairs for one scheme over a source.
+    """Yield ``(chunk, predictions)`` pairs for one scheme over a trace.
 
-    The streamed counterpart of
-    :func:`repro.core.vectorized.predict_scheme_fast`: concatenating the
-    prediction windows is bit-identical to the resident column.  This is
-    what the traffic replayer consumes -- predictions never exist at full
-    trace length.
+    Concatenating the prediction windows gives the full-length column
+    (:func:`predict_column`).  This is what the traffic replayer consumes
+    -- over a file-backed source, predictions never exist at full trace
+    length.
     """
-    source = as_source(source)
     layout = source.layout
-    num_nodes = source.num_nodes
     if scheme.function in _BITMAP_FUNCTIONS:
         window = _bitmap_window(scheme)
         group = StreamedBitmapGroup(scheme.update, layout, window)
         kernel_state = None
     else:
         group = None
-        kernel_state = _KernelSchemeState(scheme, num_nodes, layout)
-    for chunk in source.chunks(chunk_events):
+        kernel_state = _KernelSchemeState(scheme, source.num_nodes, layout)
+    for chunk in _chunks(source, chunk_events):
         if len(chunk) == 0:
             continue
         keys = compute_keys(scheme.index, chunk)
         if group is not None:
-            view = group.feed(chunk, keys)
             predictions = _reduce_bitmap(
-                scheme.function, _bitmap_window(scheme), view, num_nodes
+                scheme.function, window, group.feed(chunk, keys)
             )
         else:
             predictions = kernel_state.feed(chunk, keys)
         if exclude_writer:
             predictions = predictions & ~layout.writer_bits(chunk.writer)
         yield chunk, predictions
+
+
+def predict_column(
+    scheme: Scheme,
+    source: Union[SharingTrace, TraceSource],
+    exclude_writer: bool = True,
+) -> np.ndarray:
+    """One scheme's full-length prediction column over a trace."""
+    parts = [predictions for _, predictions in predict_stream(
+        scheme, source, exclude_writer=exclude_writer
+    )]
+    if not parts:
+        return source.layout.zeros(0)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)

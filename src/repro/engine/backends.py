@@ -13,19 +13,22 @@ from repro.core.evaluator import evaluate_scheme, predict_scheme
 from repro.core.plan import SweepPlan, evaluate_plan
 from repro.core.schemes import Scheme
 from repro.core.vectorized import evaluate_scheme_fast
-from repro.core.windowed import evaluate_batch_streamed, evaluate_scheme_streamed
 from repro.engine.base import EvaluationEngine, ResultCallback, TraceLike
+from repro.forwarding.simulator import ForwardingConfig, replay_traffic
 from repro.metrics.confusion import ConfusionCounts
+from repro.metrics.traffic import TrafficReport
 from repro.telemetry import get_telemetry
 from repro.trace.events import SharingTrace
-from repro.trace.source import TraceSource
+from repro.trace.source import as_trace
 
 
 class ReferenceEngine(EvaluationEngine):
     """The sequential, obviously-correct evaluator.
 
     Orders of magnitude slower than the vectorized backend; useful as the
-    semantic oracle in parity tests and for debugging new schemes.
+    semantic oracle in parity tests and for debugging new schemes.  It
+    runs over resident traces only: a source is materialized for each
+    evaluation (counted under ``engine.stream.materializations``).
     """
 
     name = "reference"
@@ -37,43 +40,58 @@ class ReferenceEngine(EvaluationEngine):
         # fast path to the normative loop.
         return "python"
 
-    def _evaluate_one(
-        self, scheme: Scheme, trace: SharingTrace, exclude_writer: bool
-    ) -> ConfusionCounts:
-        return evaluate_scheme(scheme, trace, exclude_writer=exclude_writer)
+    def _resident(self, trace: TraceLike) -> SharingTrace:
+        """``trace`` itself, or a source materialized (and counted)."""
+        resident = as_trace(trace)
+        telemetry = get_telemetry()
+        if resident is not trace and telemetry.enabled:
+            telemetry.count("engine.stream.materializations")
+            telemetry.count(f"engine.{self.name}.stream.materializations")
+        return resident
 
-    def _predict_one(self, scheme: Scheme, trace: SharingTrace) -> Sequence[int]:
+    def _evaluate_one(
+        self, scheme: Scheme, trace: TraceLike, exclude_writer: bool
+    ) -> ConfusionCounts:
+        return evaluate_scheme(
+            scheme, self._resident(trace), exclude_writer=exclude_writer
+        )
+
+    def _simulate_one(
+        self, scheme: Scheme, trace: TraceLike, config: ForwardingConfig
+    ) -> TrafficReport:
         # The reference engine's traffic reports are derived from its own
         # prediction path, so the differential tests cross-check the two
         # predictor implementations end to end, not just their scoring.
-        return predict_scheme(scheme, trace)
+        trace = self._resident(trace)
+        return replay_traffic(
+            trace,
+            predict_scheme(scheme, trace),
+            scheme=scheme.full_name,
+            topology=config.topology,
+            model=config.model,
+        )
 
 
 class VectorizedEngine(EvaluationEngine):
     """The fast numpy evaluator -- the default single-process backend.
 
     Batches run through the sweep planner (:mod:`repro.core.plan`): schemes
-    are grouped by index spec and function family so key streams and bitmap
-    feedback passes are computed once per group rather than once per
-    scheme.  Planning is pure scheduling -- results are bit-identical to
-    per-scheme evaluation and ``on_result`` still fires once per scheme.
+    are grouped by index spec so key streams and bitmap feedback passes are
+    computed once per group rather than once per scheme.  Planning is pure
+    scheduling -- results are bit-identical to per-scheme evaluation and
+    ``on_result`` still fires once per scheme.
 
-    This is the streaming backend: a :class:`~repro.trace.source.TraceSource`
-    is evaluated chunk by chunk through :mod:`repro.core.windowed` (never
-    materialized), with the same group-sharing the planner does and
-    bit-identical results.  Resident traces keep the planner fast path.
+    Every trace is evaluated as a chunk stream through
+    :mod:`repro.core.windowed`: a resident trace is one chunk, a
+    :class:`~repro.trace.source.TraceSource` is streamed chunk by chunk
+    (never materialized).
     """
 
     name = "vectorized"
-    supports_streams = True
 
     def _evaluate_one(
         self, scheme: Scheme, trace: TraceLike, exclude_writer: bool
     ) -> ConfusionCounts:
-        if isinstance(trace, TraceSource):
-            return evaluate_scheme_streamed(
-                scheme, trace, exclude_writer=exclude_writer
-            )
         return evaluate_scheme_fast(scheme, trace, exclude_writer=exclude_writer)
 
     def _evaluate_batch(
@@ -84,40 +102,10 @@ class VectorizedEngine(EvaluationEngine):
         exclude_writer: bool,
         on_result: Optional[ResultCallback],
     ) -> List[List[ConfusionCounts]]:
-        traces = list(traces)
+        plan = SweepPlan(schemes)
         telemetry = get_telemetry()
-        if not any(isinstance(trace, TraceSource) for trace in traces):
-            plan = SweepPlan(schemes)
-            if telemetry.enabled:
-                plan.record_telemetry(telemetry)
-            return evaluate_plan(
-                plan, traces, exclude_writer=exclude_writer, on_result=on_result
-            )
-        # Streamed suite: one single-pass sweep per trace (sources chunked,
-        # residents planned), transposed back to scheme-major.  The streamed
-        # sweep shares key streams and bitmap passes across schemes exactly
-        # like the planner, so the batch stays one pass over each trace.
-        columns: List[List[ConfusionCounts]] = []
-        for trace in traces:
-            if isinstance(trace, TraceSource):
-                columns.append(
-                    evaluate_batch_streamed(
-                        schemes, trace, exclude_writer=exclude_writer
-                    )
-                )
-            else:
-                plan = SweepPlan(schemes)
-                if telemetry.enabled:
-                    plan.record_telemetry(telemetry)
-                rows = evaluate_plan(
-                    plan, [trace], exclude_writer=exclude_writer, on_result=None
-                )
-                columns.append([row[0] for row in rows])
-        results = [
-            [columns[t][s] for t in range(len(traces))]
-            for s in range(len(schemes))
-        ]
-        if on_result is not None:
-            for index, per_trace in enumerate(results):
-                on_result(index, per_trace)
-        return results
+        if telemetry.enabled:
+            plan.record_telemetry(telemetry)
+        return evaluate_plan(
+            plan, traces, exclude_writer=exclude_writer, on_result=on_result
+        )

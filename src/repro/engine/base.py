@@ -59,7 +59,6 @@ from repro.core.schemes import Scheme
 from repro.forwarding.simulator import (
     DEFAULT_FORWARDING_CONFIG,
     ForwardingConfig,
-    replay_traffic,
     simulate_traffic_streamed,
 )
 from repro.metrics.confusion import ConfusionCounts
@@ -70,8 +69,9 @@ from repro.trace.source import TraceSource
 
 #: what every engine method accepts where it used to take a resident trace:
 #: a :class:`SharingTrace` or any :class:`~repro.trace.source.TraceSource`
-#: (``len`` works on both).  Engines that cannot stream materialize sources
-#: up front -- see :meth:`EvaluationEngine._resolve_trace`.
+#: (``len`` works on both).  The fast engines evaluate both as chunk
+#: streams (a resident trace is one chunk); the reference engine
+#: materializes sources itself.
 TraceLike = Union[SharingTrace, TraceSource]
 
 #: callback signature for incremental batch results:
@@ -89,37 +89,11 @@ class EvaluationEngine(ABC):
     #: short identifier used by ``REPRO_BACKEND`` and diagnostics
     name: str = "abstract"
 
-    #: whether the backend's hooks consume :class:`TraceSource` chunk
-    #: streams natively.  When ``False`` (the default) the public methods
-    #: materialize any source before it reaches a hook, so every backend
-    #: accepts sources; streaming engines opt in and keep O(chunk) memory.
-    supports_streams: bool = False
-
-    def _resolve_trace(self, trace: TraceLike) -> TraceLike:
-        """Materialize a source for non-streaming backends; pass through else.
-
-        Bit-identity makes this safe: a materialized source evaluates to
-        exactly the streamed result, so coercion is purely a memory/perf
-        trade recorded under ``engine.stream.materializations``.
-        """
-        if isinstance(trace, TraceSource) and not self.supports_streams:
-            telemetry = get_telemetry()
-            if telemetry.enabled:
-                telemetry.count("engine.stream.materializations")
-                telemetry.count(f"engine.{self.name}.stream.materializations")
-            return trace.materialize()
-        return trace
-
     @abstractmethod
     def _evaluate_one(
         self, scheme: Scheme, trace: TraceLike, exclude_writer: bool
     ) -> ConfusionCounts:
-        """Backend hook: score one scheme on one trace, uninstrumented.
-
-        ``trace`` is resident unless the backend declares
-        ``supports_streams``, in which case it may also be a
-        :class:`TraceSource`.
-        """
+        """Backend hook: score one scheme on one trace, uninstrumented."""
 
     def evaluate(
         self,
@@ -129,7 +103,6 @@ class EvaluationEngine(ABC):
         exclude_writer: bool = True,
     ) -> ConfusionCounts:
         """Score one scheme on one trace (or streamed source)."""
-        trace = self._resolve_trace(trace)
         telemetry = get_telemetry()
         if not telemetry.enabled:
             return self._evaluate_one(scheme, trace, exclude_writer)
@@ -183,7 +156,6 @@ class EvaluationEngine(ABC):
         ``on_result`` is given it fires once per scheme as its suite
         completes (possibly out of input order).
         """
-        traces = [self._resolve_trace(trace) for trace in traces]
         telemetry = get_telemetry()
         if not telemetry.enabled:
             return self._evaluate_batch(
@@ -229,17 +201,20 @@ class EvaluationEngine(ABC):
     # Traffic simulation
     # ------------------------------------------------------------------
 
-    def _predict_one(self, scheme: Scheme, trace: SharingTrace) -> Sequence[int]:
-        """Backend hook: the per-event prediction bitmaps for one trace.
+    def _simulate_one(
+        self, scheme: Scheme, trace: TraceLike, config: ForwardingConfig
+    ) -> TrafficReport:
+        """Backend hook: predict and replay one trace, chunk by chunk.
 
-        The default routes through the vectorized predictor -- correct for
-        every scheme -- so backends only override it to exercise their own
-        prediction path (the reference engine does, keeping the traffic
-        simulation as independently-derived as its confusion counts).
+        The default streams predictions into the replay window by window
+        (a resident trace is one window), so the full-length prediction
+        column never exists for a source.  The reference engine overrides
+        it to replay its own predictions, keeping its traffic reports as
+        independently derived as its confusion counts.
         """
-        from repro.core.vectorized import predict_scheme_fast
-
-        return predict_scheme_fast(scheme, trace)
+        return simulate_traffic_streamed(
+            scheme, trace, topology=config.topology, model=config.model
+        )
 
     def simulate_traffic(
         self,
@@ -255,24 +230,10 @@ class EvaluationEngine(ABC):
         forwarding under ``config``'s topology and cost model.  The report's
         confusion quad is bit-identical to :meth:`evaluate` on the same
         inputs (the simulator scores the very prediction stream it replays).
-        A source reaching a streaming backend replays window by window --
-        the full-length prediction column never exists.
         """
         if config is None:
             config = DEFAULT_FORWARDING_CONFIG
-        trace = self._resolve_trace(trace)
-        if isinstance(trace, TraceSource):
-            return simulate_traffic_streamed(
-                scheme, trace, topology=config.topology, model=config.model
-            )
-        predictions = self._predict_one(scheme, trace)
-        return replay_traffic(
-            trace,
-            predictions,
-            scheme=scheme.full_name,
-            topology=config.topology,
-            model=config.model,
-        )
+        return self._simulate_one(scheme, trace, config)
 
     def evaluate_traffic(
         self,
@@ -291,7 +252,6 @@ class EvaluationEngine(ABC):
         """
         if config is None:
             config = DEFAULT_FORWARDING_CONFIG
-        traces = [self._resolve_trace(trace) for trace in traces]
         telemetry = get_telemetry()
         if not telemetry.enabled:
             return self._evaluate_traffic_batch(

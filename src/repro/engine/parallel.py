@@ -18,9 +18,12 @@ processes on other machines.  The control plane is transport-agnostic:
   :class:`~repro.core.plan.SweepPlan` order and chunks are cut inside plan
   batch boundaries, so every chunk a worker steals shares one
   (IndexSpec, function family): the worker evaluates it through
-  :func:`~repro.core.plan.evaluate_plan` with a worker-lifetime key cache,
-  keeping the planner's shared key streams and bitmap passes effective
-  across the process boundary.  Dispatch stays demand-driven: the parent
+  :func:`~repro.core.plan.evaluate_plan`, keeping the planner's shared key
+  streams and bitmap passes effective across the process boundary.
+  Sources pass through to the transports: file-backed suites ship as
+  path+fingerprint records (workers stream them), anything else is
+  materialized at the transport seam, and the serial fallback streams
+  in-process.  Dispatch stays demand-driven: the parent
   keeps a small number of chunks in flight and cuts the next chunk when a
   worker finishes one ("stealing" from the shared remainder).  Chunk size
   starts small and is continuously resized from the observed schemes/sec
@@ -256,11 +259,6 @@ class ParallelEngine(EvaluationEngine):
     """
 
     name = "parallel"
-    # Sources pass through to the transports: file-backed suites ship as
-    # path+fingerprint records (workers stream them), anything else is
-    # materialized at the transport seam, and the serial fallback streams
-    # in-process.
-    supports_streams = True
 
     def __init__(
         self,
@@ -386,8 +384,8 @@ class ParallelEngine(EvaluationEngine):
         """A transport whose workers hold ``traces`` -- reused when possible.
 
         In persistent mode a retained transport whose trace fingerprints
-        match is returned as-is: the workers keep their installed traces
-        (and warm key caches), and nothing is re-published or re-shipped.
+        match is returned as-is: the workers keep their installed traces,
+        and nothing is re-published or re-shipped.
         A fingerprint mismatch (or a non-persistent engine) builds a fresh
         transport; the stale one is torn down first so at most one is ever
         alive per engine.

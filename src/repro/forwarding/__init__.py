@@ -21,6 +21,7 @@ from repro.forwarding.simulator import (
     ForwardingConfig,
     demand_read_cost,
     replay_traffic,
+    simulate_traffic_streamed,
 )
 from repro.forwarding.topology import (
     TOPOLOGY_NAMES,
@@ -66,15 +67,12 @@ def simulate_forwarding(
     use ``repro.api.simulate_forwarding``.
     """
     from repro.core.schemes import Scheme, parse_scheme
-    from repro.core.vectorized import predict_scheme_fast
 
     if not isinstance(scheme, Scheme):
         scheme = parse_scheme(str(scheme))
-    predictions = predict_scheme_fast(scheme, trace)
-    return replay_traffic(
+    return simulate_traffic_streamed(
+        scheme,
         trace,
-        predictions,
-        scheme=scheme.full_name,
         topology=topology,
         model=model if model is not None else TrafficModel(),
     )

@@ -329,13 +329,15 @@ def simulate_traffic_streamed(
     model: TrafficModel = TrafficModel(),
     chunk_events: Optional[int] = None,
 ) -> TrafficReport:
-    """Predict and replay one scheme over a source at O(chunk) memory.
+    """Predict and replay one scheme over a trace or source.
 
-    Couples :func:`repro.core.windowed.predict_stream` (prediction windows,
-    never a full-length column) to :class:`TrafficReplayState`.  Both halves
-    are chunk-order-invariant, so the report is bit-identical to
+    Couples :func:`repro.core.windowed.predict_stream` (prediction windows;
+    a resident trace is one window, a source never has a full-length
+    column) to :class:`TrafficReplayState`.  Both halves are
+    chunk-order-invariant, so the report is bit-identical to
     ``replay_traffic(trace, predict_scheme_fast(...))`` on the materialized
-    trace.
+    trace.  This is the fast engines' traffic path; the reference engine
+    keeps :func:`replay_traffic` over its own predictions as the oracle.
     """
     # Imported here, not at module top: core.windowed is the heavy
     # vectorized-evaluator layer, and forwarding must stay importable

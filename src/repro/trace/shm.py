@@ -100,6 +100,21 @@ def trace_fingerprint(trace: SharingTrace) -> str:
     return digest.hexdigest()[:16]
 
 
+def content_key(trace) -> str:
+    """The content identity of a resident trace or a streaming source.
+
+    Sources key on their streaming fingerprint (prefixed so the two
+    fingerprint algebras can never collide), residents on the historical
+    resident :func:`trace_fingerprint` -- so every existing transport-reuse
+    key stays exactly what it was.
+    """
+    from repro.trace.source import TraceSource
+
+    if isinstance(trace, TraceSource):
+        return f"stream:{trace.fingerprint()}"
+    return trace_fingerprint(trace)
+
+
 @dataclass(frozen=True)
 class _FieldLayout:
     """Where one trace array lives inside its shared segment.

@@ -6,7 +6,6 @@ import cycles.
 """
 
 from repro.util.bitmaps import (
-    POPCOUNT16,
     bitmap_from_nodes,
     bitmap_mask,
     format_bitmap,
@@ -16,7 +15,6 @@ from repro.util.bitmaps import (
 from repro.util.rng import DeterministicRng
 
 __all__ = [
-    "POPCOUNT16",
     "bitmap_from_nodes",
     "bitmap_mask",
     "format_bitmap",

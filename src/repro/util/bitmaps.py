@@ -25,12 +25,6 @@ from typing import Iterable, Iterator, List, Sequence, Union
 
 import numpy as np
 
-#: Precomputed population counts for all 16-bit values.  The vectorized
-#: evaluator scores millions of (bitmap, bitmap) pairs; a table lookup is the
-#: fastest portable way to count bits in numpy arrays.
-POPCOUNT16 = np.array([bin(value).count("1") for value in range(1 << 16)], dtype=np.uint8)
-
-
 def bitmap_mask(num_nodes: int) -> int:
     """Return the bitmap with the low ``num_nodes`` bits set.
 
@@ -270,22 +264,12 @@ class BitmapLayout:
         return (column != 0).any(axis=-1)
 
     def popcount(self, column: np.ndarray) -> np.ndarray:
-        """Per-event set-bit counts, as ``int64``.
-
-        The ``uint32`` path is the exact historical two-lookup expression;
-        wider layouts chain :data:`POPCOUNT16` lookups per 16-bit slice.
-        """
-        if not self.packed and self.word_bits == 32:
-            low = POPCOUNT16[column & np.uint32(0xFFFF)]
-            high = POPCOUNT16[column >> np.uint32(16)]
-            return low.astype(np.int64) + high.astype(np.int64)
-        values = column.astype(np.uint64, copy=False)
-        total = np.zeros(values.shape, dtype=np.int64)
-        for shift in range(0, _WORD_BITS, 16):
-            total += POPCOUNT16[(values >> np.uint64(shift)) & np.uint64(0xFFFF)]
+        """Per-event set-bit counts, as ``int64`` (``np.bitwise_count``;
+        packed layouts sum their word rows)."""
+        counts = np.bitwise_count(column).astype(np.int64)
         if self.packed:
-            return total.sum(axis=-1)
-        return total
+            return counts.sum(axis=-1)
+        return counts
 
     def select(
         self, condition: np.ndarray, when_true: np.ndarray, when_false: np.ndarray

@@ -2,16 +2,19 @@
 
 The registry contract (:mod:`repro.core.kernel_backends`) says the
 pure-Python :class:`PredictorKernel` backend is normative and every other
-backend must reproduce its prediction streams bit for bit -- or decline the
-scheme via ``supports`` and let the registry fall through.  This suite is
-the enforcement mechanism: it parametrizes over
-:func:`kernel_backend_names`, so a future backend is covered by
-registration alone, with no edits here.
+backend's resumable stream must reproduce its prediction streams bit for
+bit at any chunking -- or decline the scheme via ``supports`` and let the
+registry fall through.  This suite is the enforcement mechanism: it
+parametrizes over :func:`kernel_backend_names`, so a future backend is
+covered by registration alone, with no edits here.
 
 Coverage axes:
 
 * every registered backend (unavailable ones skip, matching the degraded
   environments they'd degrade in);
+* chunk sizes 1, 7 and whole-trace, against the oracle fed whole --
+  including a FORWARDED epoch that opens in one chunk and closes several
+  chunks later, and keys first seen in the last chunk;
 * all three update modes and every function family (bitmap, PAs, and the
   confidence-gated sequential schemes native backends decline);
 * bitmap widths 8 / 16 / 32 / 64 (scalar-word layouts and both word-size
@@ -38,9 +41,8 @@ from repro.core.kernel_backends import (
     PROBE_SCHEMES,
     get_kernel_backend,
     kernel_backend_names,
-    kernel_evaluate,
-    kernel_predict,
     kernel_probe_fingerprint,
+    kernel_stream,
     register_kernel_backend,
     resolve_kernel_backend,
     set_kernel_backend,
@@ -48,8 +50,11 @@ from repro.core.kernel_backends import (
 from repro.core.schemes import Scheme, parse_scheme
 from repro.core.update import UpdateMode
 from repro.core.vectorized import compute_keys
+from repro.engine.backends import VectorizedEngine
 from repro.telemetry import Telemetry, set_telemetry
 from repro.trace.events import SharingTrace
+from repro.trace.interchange import FileTraceSource, write_source
+from repro.trace.source import CHUNK_FIELDS, ResidentTraceSource, TraceChunk
 from tests.conftest import make_random_trace
 
 #: the scalar-word layouts, both word-size boundaries, and two packed widths
@@ -77,33 +82,79 @@ CONFORMANCE_SCHEMES = (
 )
 
 
-def assert_backend_conforms(backend, trace, scheme_texts=CONFORMANCE_SCHEMES):
+#: chunk sizes every backend's stream is fed at (``None``: whole trace)
+CHUNK_SIZES = (1, 7, None)
+
+
+def stream_predictions(backend, scheme, trace, chunk_events=None):
+    """``backend``'s raw predictions over ``trace`` as ints, fed in chunks."""
+    stream = backend.stream(scheme, trace.num_nodes, trace.layout)
+    values = []
+    source = ResidentTraceSource(trace, chunk_events or max(1, len(trace)))
+    for chunk in source.chunks():
+        keys = compute_keys(scheme.index, chunk)
+        values.extend(trace.layout.to_int_list(stream.feed(chunk, keys)))
+    return values
+
+
+def assert_backend_conforms(
+    backend, trace, scheme_texts=CONFORMANCE_SCHEMES, chunk_sizes=CHUNK_SIZES
+):
     """Assert ``backend`` reproduces the oracle on every scheme over ``trace``.
 
     Mirrors the routed path exactly: schemes the backend declines run on
     the Python oracle (a trivially passing comparison, which is the point
     -- declining is a *correct* outcome, silently wrong results are not).
-    Checks both the raw prediction stream and the fused confusion quad,
-    with and without writer exclusion.
+    Each chunking of the backend's stream must equal the oracle fed the
+    whole trace.
     """
     oracle = get_kernel_backend("python")
-    layout = trace.layout
     for text in scheme_texts:
         scheme = parse_scheme(text)
-        keys = compute_keys(scheme.index, trace)
         chosen = backend if backend.supports(scheme) else oracle
-        got = layout.to_int_list(chosen.predict(scheme, trace, keys))
-        want = layout.to_int_list(oracle.predict(scheme, trace, keys))
-        assert got == want, (
-            f"backend {backend.name!r} diverged from the python oracle on "
-            f"{text} over {trace.name} ({trace.num_nodes} nodes): first "
-            f"mismatch at event "
-            f"{next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)}"
-        )
-        for exclude_writer in (False, True):
-            assert chosen.evaluate(scheme, trace, keys, exclude_writer) == (
-                oracle.evaluate(scheme, trace, keys, exclude_writer)
-            ), f"{backend.name!r} quad mismatch on {text} ({trace.name})"
+        want = stream_predictions(oracle, scheme, trace)
+        for chunk_events in chunk_sizes:
+            got = stream_predictions(chosen, scheme, trace, chunk_events)
+            assert got == want, (
+                f"backend {backend.name!r} diverged from the python oracle on "
+                f"{text} over {trace.name} ({trace.num_nodes} nodes, chunks of "
+                f"{chunk_events or 'the whole trace'}): first mismatch at event "
+                f"{next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)}"
+            )
+
+
+def _resumption_trace():
+    """An 8-node trace built to stress carried state across chunk edges.
+
+    Block 0's first epoch opens at event 0 and closes at event 13, so at
+    chunk sizes 1 and 7 the FORWARDED delivery crosses several chunk
+    boundaries; the last event brings a pc and a block never seen before,
+    so its key first appears in the last chunk.
+    """
+    epochs = [(1, 1, 0, 0, 0b00000100)]
+    for i in range(12):
+        writer = 2 + i % 3
+        truth = ((1 << ((i + 4) % 8)) | 0b1) & ~(1 << writer)
+        epochs.append((writer, 2 + i % 2, 1, 1 + i % 3, truth))
+    epochs.append((3, 1, 0, 0, 0b00010001))
+    epochs.append((5, 9, 2, 7, 0b00000011))
+    return SharingTrace.from_epochs(8, epochs, name="kernel-resumption")
+
+
+#: schemes the resumption trace runs -- FORWARDED in every family the
+#: native loop covers, plus the other modes keyed so the last event's key
+#: is new
+RESUMPTION_SCHEMES = (
+    "pas(pc4)1[forwarded]",
+    "pas(add4)2[forwarded]",
+    "union(pc4)2[forwarded]",
+    "last(add4)1[forwarded]",
+    "inter(pid+pc4)2[forwarded]",
+    "overlap(add4)1[forwarded]",
+    "pas(pc4)2[direct]",
+    "union(add4)3[ordered]",
+    "cunion(pc4)2[forwarded]",
+)
 
 
 @pytest.fixture(scope="module", params=kernel_backend_names())
@@ -134,16 +185,25 @@ class TestBackendConformance:
     def test_empty_trace(self, backend):
         trace = make_random_trace(num_nodes=16, num_events=0, seed="conf-empty")
         scheme = parse_scheme("pas(pid+add4)2[direct]")
-        keys = compute_keys(scheme.index, trace)
-        assert len(backend.predict(scheme, trace, keys)) == 0
-        assert backend.evaluate(scheme, trace, keys, True) == (0, 0, 0, 0)
+        chunk = TraceChunk(
+            num_nodes=16,
+            start=0,
+            **{field: getattr(trace, field) for field in CHUNK_FIELDS},
+        )
+        stream = backend.stream(scheme, trace.num_nodes, trace.layout)
+        assert len(stream.feed(chunk, compute_keys(scheme.index, chunk))) == 0
 
     def test_probe_fingerprint_matches_oracle(self, backend):
         # The same gate available() applies to compiled engines, asserted
-        # here for every backend so the probe battery itself is exercised.
+        # here for every backend so the probe battery itself is exercised,
+        # whole and in the self-check's small chunks.
         assert kernel_probe_fingerprint(backend) == kernel_probe_fingerprint(
             get_kernel_backend("python")
         )
+        assert kb.kernel_selfcheck(backend)
+
+    def test_state_carries_across_chunk_boundaries(self, backend):
+        assert_backend_conforms(backend, _resumption_trace(), RESUMPTION_SCHEMES)
 
 
 # ----------------------------------------------------------------------
@@ -191,34 +251,19 @@ def _trace_from_epochs(epochs):
 
 
 class TestHypothesisConformance:
-    @given(epochs=st.lists(epoch_strategy, max_size=40), scheme=scheme_strategy())
-    def test_prediction_stream_bit_identical(self, backend, epochs, scheme):
+    @given(
+        epochs=st.lists(epoch_strategy, max_size=40),
+        scheme=scheme_strategy(),
+        chunk_events=st.sampled_from(CHUNK_SIZES),
+    )
+    def test_prediction_stream_bit_identical(self, backend, epochs, scheme, chunk_events):
         trace = _trace_from_epochs(epochs)
-        keys = compute_keys(scheme.index, trace)
         chosen = backend if backend.supports(scheme) else (
             get_kernel_backend("python")
         )
         oracle = get_kernel_backend("python")
-        assert trace.layout.to_int_list(
-            chosen.predict(scheme, trace, keys)
-        ) == trace.layout.to_int_list(oracle.predict(scheme, trace, keys))
-
-    @given(
-        epochs=st.lists(epoch_strategy, min_size=1, max_size=40),
-        scheme=scheme_strategy(),
-        exclude_writer=st.booleans(),
-    )
-    def test_fused_evaluate_matches_predict_then_score(
-        self, backend, epochs, scheme, exclude_writer
-    ):
-        trace = _trace_from_epochs(epochs)
-        keys = compute_keys(scheme.index, trace)
-        chosen = backend if backend.supports(scheme) else (
-            get_kernel_backend("python")
-        )
-        predictions = chosen.predict(scheme, trace, keys)
-        assert chosen.evaluate(scheme, trace, keys, exclude_writer) == (
-            kb.score_predictions(predictions, trace, exclude_writer)
+        assert stream_predictions(chosen, scheme, trace, chunk_events) == (
+            stream_predictions(oracle, scheme, trace)
         )
 
 
@@ -238,21 +283,22 @@ class _BitFlippingBackend:
     def supports(self, scheme):
         return True
 
-    def predict(self, scheme, trace, keys):
-        python = get_kernel_backend("python")
-        predictions = python.predict(scheme, trace, keys)
-        if len(trace):
-            layout = trace.layout
-            flipped = layout.from_int_iter(
-                (value ^ 1 for value in layout.to_int_list(predictions)),
-                count=len(trace),
-            )
-            return flipped
-        return predictions
+    def stream(self, scheme, num_nodes, layout):
+        return _BitFlippingStream(
+            get_kernel_backend("python").stream(scheme, num_nodes, layout), layout
+        )
 
-    def evaluate(self, scheme, trace, keys, exclude_writer):
-        return kb.score_predictions(
-            self.predict(scheme, trace, keys), trace, exclude_writer
+
+class _BitFlippingStream:
+    def __init__(self, inner, layout):
+        self.inner = inner
+        self.layout = layout
+
+    def feed(self, chunk, keys):
+        predictions = self.inner.feed(chunk, keys)
+        return self.layout.from_int_iter(
+            (value ^ 1 for value in self.layout.to_int_list(predictions)),
+            count=len(chunk),
         )
 
 
@@ -304,7 +350,7 @@ class _UnavailableBackend:
     def supports(self, scheme):  # pragma: no cover - must never be reached
         raise AssertionError("unavailable backend must not serve evaluations")
 
-    predict = evaluate = supports
+    stream = supports
 
 
 @pytest.fixture
@@ -394,10 +440,11 @@ class TestRoutedEntryPoints:
             assert not native.supports(scheme)
             trace = make_random_trace(num_nodes=8, num_events=80, seed="fallback")
             keys = compute_keys(scheme.index, trace)
+            routed = kernel_stream(scheme, trace.num_nodes, trace.layout)
             python = get_kernel_backend("python")
             assert trace.layout.to_int_list(
-                kernel_predict(scheme, trace, keys)
-            ) == trace.layout.to_int_list(python.predict(scheme, trace, keys))
+                routed.feed(trace, keys)
+            ) == stream_predictions(python, scheme, trace)
             assert telemetry.counters.get("kernel.fallbacks", 0) == 1
             assert telemetry.counters.get("kernel.backend.python", 0) == 1
         finally:
@@ -411,13 +458,33 @@ class TestRoutedEntryPoints:
         try:
             scheme = parse_scheme("pas(pid+add4)2[direct]")
             trace = make_random_trace(num_nodes=8, num_events=40, seed="telemetry")
-            keys = compute_keys(scheme.index, trace)
-            kernel_predict(scheme, trace, keys)
-            kernel_evaluate(scheme, trace, keys)
+            kernel_stream(scheme, trace.num_nodes, trace.layout)
+            kernel_stream(scheme, trace.num_nodes, trace.layout)
             assert telemetry.counters["kernel.backend.python"] == 2
         finally:
             set_telemetry(previous)
             set_kernel_backend(None)
+
+    def test_streamed_pas_batch_runs_natively(self, clean_selection, tmp_path):
+        native = get_kernel_backend("native")
+        if not native.available():
+            pytest.skip("native kernel backend unavailable here")
+        trace = make_random_trace(num_nodes=8, num_events=200, seed="streamed-pas")
+        path = tmp_path / "pas.rtrace"
+        write_source(trace, path, chunk_events=16)
+        schemes = [parse_scheme("pas(pid+add4)2[forwarded]"), parse_scheme("pas(pc4)1")]
+        set_kernel_backend("native")
+        telemetry = Telemetry()
+        previous = set_telemetry(telemetry)
+        try:
+            streamed = VectorizedEngine().evaluate_batch(schemes, [FileTraceSource(path)])
+        finally:
+            set_telemetry(previous)
+            set_kernel_backend(None)
+        assert telemetry.counters["kernel.backend.native"] >= len(schemes)
+        assert "kernel.backend.python" not in telemetry.counters
+        assert "kernel.fallbacks" not in telemetry.counters
+        assert streamed == VectorizedEngine().evaluate_batch(schemes, [trace])
 
     def test_probe_schemes_cover_all_modes_and_families(self):
         # Guard the probe battery itself: if it ever shrinks, available()'s

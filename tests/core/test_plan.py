@@ -1,11 +1,11 @@
-"""The sweep planner: grouping, key-cache sharing, and bit-identicality.
+"""The sweep planner: grouping, shared passes, and bit-identicality.
 
 The planner's load-bearing promises, each pinned here:
 
 * grouping is deterministic bookkeeping -- same schemes in, same plan out,
   results always in caller order;
-* key streams are computed exactly once per (trace, index group), which is
-  observable from the ``plan.key_cache.*`` counters (the acceptance probe);
+* bitmap schemes share one pass per (index group, mode, trace), which is
+  observable from the ``plan.trace_passes`` counter;
 * shared bitmap passes change wall-clock only: :func:`evaluate_plan` is
   bit-identical to per-scheme :func:`evaluate_scheme_fast` across every
   function family and update mode.
@@ -18,7 +18,6 @@ from repro.core.plan import (
     FAMILY_BITMAP,
     FAMILY_PAS,
     FAMILY_SEQUENTIAL,
-    KeyCache,
     SweepPlan,
     evaluate_plan,
     scheme_family,
@@ -146,47 +145,24 @@ class TestSweepPlanGrouping:
         )
 
 
-class TestKeyCache:
-    def test_exactly_one_key_computation_per_trace_and_group(self, traces, sink):
-        """The acceptance probe: misses == traces x index groups, no more."""
-        schemes = [parse_scheme(text) for text in ALL_FAMILY_SCHEMES]
-        plan = SweepPlan(schemes)
+class TestKeySharing:
+    def test_exactly_one_key_computation_per_trace_and_group(self, traces, monkeypatch):
+        """Every family of an index group reads one key stream per trace
+        (a resident trace is one chunk)."""
+        import repro.core.windowed as windowed
+
+        calls = []
+        original = windowed.compute_keys
+
+        def counting(spec, chunk):
+            calls.append(spec)
+            return original(spec, chunk)
+
+        monkeypatch.setattr(windowed, "compute_keys", counting)
+        plan = SweepPlan([parse_scheme(text) for text in ALL_FAMILY_SCHEMES])
         evaluate_plan(plan, traces)
-        assert sink.counters["plan.key_cache.misses"] == len(traces) * plan.num_groups
-        # every further lookup in the run was served from the cache
-        lookups = sink.counters["plan.key_cache.misses"] + sink.counters.get(
-            "plan.key_cache.hits", 0
-        )
-        assert lookups >= len(traces) * plan.num_groups
-
-    def test_long_lived_cache_reuses_streams_across_calls(self, traces, sink):
-        schemes = [parse_scheme(text) for text in ALL_FAMILY_SCHEMES]
-        cache = KeyCache()
-        evaluate_plan(SweepPlan(schemes), traces, key_cache=cache)
-        misses_first = sink.counters["plan.key_cache.misses"]
-        evaluate_plan(SweepPlan(schemes), traces, key_cache=cache)
-        # the second sweep computed nothing new
-        assert sink.counters["plan.key_cache.misses"] == misses_first
-
-    def test_fingerprint_keying_shares_equal_content_traces(self, sink):
-        # two distinct objects with byte-identical arrays hash to one entry
-        first = make_random_trace(num_nodes=8, num_events=80, num_blocks=8, seed="fp")
-        second = make_random_trace(num_nodes=8, num_events=80, num_blocks=8, seed="fp")
-        assert first is not second
-        cache = KeyCache()
-        spec = IndexSpec(use_pid=True)
-        stream = cache.key_stream(first, spec)
-        assert (cache.key_stream(second, spec) == stream).all()
-        assert sink.counters["plan.key_cache.misses"] == 1
-        assert sink.counters["plan.key_cache.hits"] == 1
-
-    def test_clear_forgets_everything(self, traces, sink):
-        cache = KeyCache()
-        spec = IndexSpec(addr_bits=4)
-        cache.key_stream(traces[0], spec)
-        cache.clear()
-        cache.key_stream(traces[0], spec)
-        assert sink.counters["plan.key_cache.misses"] == 2
+        assert len(calls) == len(traces) * plan.num_groups
+        assert set(calls) == {group.spec for group in plan.groups}
 
 
 class TestEvaluatePlanBitIdentical:

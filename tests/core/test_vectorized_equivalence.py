@@ -13,6 +13,7 @@ from repro.core.evaluator import evaluate_scheme
 from repro.core.schemes import Scheme, parse_scheme
 from repro.core.update import UpdateMode
 from repro.core.vectorized import evaluate_scheme_fast
+from repro.core.windowed import evaluate_batch_streamed
 from repro.core.indexing import IndexSpec
 from repro.trace.events import SharingTrace
 from tests.conftest import make_random_trace
@@ -112,6 +113,26 @@ def test_fast_matches_reference_property(epochs, scheme, depth):
     trace = SharingTrace.from_epochs(8, cleaned, name="prop")
     scheme = _with_depth(scheme, depth)
     assert evaluate_scheme_fast(scheme, trace) == evaluate_scheme(scheme, trace)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    epochs=st.lists(epoch_strategy, max_size=80),
+    scheme=scheme_strategy,
+    depth=st.integers(min_value=1, max_value=4),
+    chunk_events=st.sampled_from([1, 3, 7]),
+)
+def test_chunked_stream_matches_reference_property(epochs, scheme, depth, chunk_events):
+    # a resident trace is one chunk; any other chunking must carry bitmap
+    # histories, FORWARDED deliveries and kernel state across chunk edges
+    cleaned = [
+        (writer, pc, home, block, truth & 0xFF & ~(1 << writer))
+        for writer, pc, home, block, truth in epochs
+    ]
+    trace = SharingTrace.from_epochs(8, cleaned, name="prop-chunked")
+    scheme = _with_depth(scheme, depth)
+    (streamed,) = evaluate_batch_streamed([scheme], trace, chunk_events=chunk_events)
+    assert streamed == evaluate_scheme(scheme, trace)
 
 
 # ----------------------------------------------------------------------

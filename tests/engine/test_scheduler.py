@@ -224,9 +224,10 @@ class TestPooledTransports:
         assert sink.counters["engine.parallel.steal.segment_clamps"] == 0
         assert sink.gauges["engine.parallel.steal.final_chunk_size"] == 2
         assert sink.counters["plan.index_groups"] == 1
-        # every chunk shares the one key stream within itself; hits appear
-        # whenever a chunk holds more than one mode-batch or scheme pass
-        assert sink.counters["plan.key_cache.misses"] >= 1
+        # each two-scheme chunk shares one bitmap pass per trace
+        assert sink.counters["plan.trace_passes"] == (
+            len(schemes) // 2 * len(small_traces)
+        )
 
     def test_on_result_fires_once_per_scheme(self, small_traces):
         schemes = [parse_scheme(text) for text in SCHEMES]

@@ -3,9 +3,11 @@
 The positional ``exclude_writer`` shim in ``engine/base.py`` and the
 monolith import shim in ``harness/experiments/__init__.py`` each had their
 one warning release; this file pins the removal (``TypeError`` /
-``AttributeError``), as does the ``mem8`` index-field spelling and the
-zero-hop ``traffic_report`` helper, whose warning releases are complete
-(``ValueError`` / ``ImportError``).
+``AttributeError``), as does the ``mem8`` index-field spelling, the
+zero-hop ``traffic_report`` helper, and the
+``repro.api.simulate_forwarding(topology=, model=)`` arguments, whose
+warning releases are complete (``ValueError`` / ``ImportError`` /
+``TypeError``).
 """
 
 import warnings
@@ -114,3 +116,23 @@ class TestTrafficReportRemoved:
             breakeven_pvp,
             merge_reports,
         )
+
+
+class TestSimulateForwardingKwargsRemoved:
+    @pytest.mark.parametrize("kwarg", ["topology", "model"])
+    def test_topology_and_model_are_a_type_error(self, trace, kwarg):
+        import repro.api as api
+
+        value = "ring" if kwarg == "topology" else api.TrafficModel()
+        with pytest.raises(TypeError, match=kwarg):
+            api.simulate_forwarding("last()1", trace, **{kwarg: value})
+
+    def test_config_spelling_warns_nothing(self, trace):
+        import repro.api as api
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = api.simulate_forwarding(
+                "last()1", trace, config=api.ForwardingConfig(topology="ring")
+            )
+        assert report.topology == "ring"

@@ -1,12 +1,10 @@
 """Unit and property tests for sharing-bitmap helpers."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util.bitmaps import (
-    POPCOUNT16,
     bitmap_from_nodes,
     bitmap_mask,
     format_bitmap,
@@ -77,16 +75,6 @@ class TestFormatBitmap:
         assert len(format_bitmap(0, 16)) == 16
 
 
-class TestPopcountTable:
-    def test_size(self):
-        assert POPCOUNT16.shape == (65536,)
-
-    def test_agrees_with_python(self):
-        values = np.array([0, 1, 0xFFFF, 0b1010101010101010], dtype=np.uint32)
-        for value in values:
-            assert int(POPCOUNT16[value]) == popcount(int(value))
-
-
 @given(st.sets(st.integers(min_value=0, max_value=31)))
 def test_roundtrip_nodes_bitmap_nodes(nodes):
     """from_nodes and iter_set_bits are inverses."""
@@ -100,7 +88,3 @@ def test_popcount_disjoint_union_additive(a, b):
     """popcount(a | b) + popcount(a & b) == popcount(a) + popcount(b)."""
     assert popcount(a | b) + popcount(a & b) == popcount(a) + popcount(b)
 
-
-@given(st.integers(min_value=0, max_value=0xFFFF))
-def test_popcount16_matches_popcount(value):
-    assert int(POPCOUNT16[value]) == popcount(value)
