@@ -93,13 +93,12 @@ from repro.machine import MachineSpec
 from repro.telemetry import Telemetry
 from repro.trace.events import SharingTrace
 from repro.trace.shm import (
-    TRACE_FIELDS,
     TraceDescriptor,
     _FieldLayout,
     publish_traces,
     shm_available,
-    trace_fingerprint,
 )
+from repro.trace.source import CHUNK_FIELDS, stream_fingerprint
 
 logger = logging.getLogger("repro.engine.remote")
 
@@ -206,7 +205,7 @@ def _descriptors_from_json(payload: Sequence[dict]) -> List[TraceDescriptor]:
 def encode_bulk_traces(traces: Sequence[SharingTrace]) -> Tuple[List[dict], bytes]:
     """Flatten traces for the wire: JSON headers + concatenated array bytes.
 
-    Every field array is shipped C-contiguous in :data:`TRACE_FIELDS`
+    Every field array is shipped C-contiguous in :data:`CHUNK_FIELDS`
     order; the header carries dtype/shape per field plus the trace's
     content fingerprint, which the receiving worker re-derives from the
     rebuilt trace -- a truncated or reordered transfer can never install.
@@ -215,7 +214,7 @@ def encode_bulk_traces(traces: Sequence[SharingTrace]) -> Tuple[List[dict], byte
     blobs = []
     for trace in traces:
         fields = []
-        for field in TRACE_FIELDS:
+        for field in CHUNK_FIELDS:
             array = np.ascontiguousarray(getattr(trace, field))
             fields.append(
                 {
@@ -231,7 +230,7 @@ def encode_bulk_traces(traces: Sequence[SharingTrace]) -> Tuple[List[dict], byte
             {
                 "trace_name": trace.name,
                 "num_nodes": trace.num_nodes,
-                "fingerprint": trace_fingerprint(trace),
+                "fingerprint": stream_fingerprint(trace),
                 "machine": trace.machine.to_json() if trace.machine is not None else "",
                 "fields": fields,
             }
@@ -264,7 +263,7 @@ def decode_bulk_traces(headers: Sequence[dict], blob: bytes) -> List[SharingTrac
             ),
             **arrays,
         )
-        actual = trace_fingerprint(trace)
+        actual = stream_fingerprint(trace)
         if actual != header["fingerprint"]:
             raise ValueError(
                 f"bulk trace {header['trace_name']!r} fingerprint mismatch: "

@@ -2,11 +2,12 @@
 
 Generating a benchmark trace means running the full protocol simulation
 over a few hundred thousand memory references, so traces are cached as
-``.npz`` files keyed by a fingerprint of everything that determines them
+``.rtrace`` files keyed by a fingerprint of everything that determines them
 (benchmark, seed, node count, cache geometry, scheduler quantum, and the
-package's trace-format version).  Delete the cache directory (default
-``<repo>/data/traces``, override with ``REPRO_CACHE_DIR``) to force
-regeneration.
+package's trace-format version).  Generation streams the simulation
+straight into the cache file, and the protocol statistics ride in its
+footer.  Delete the cache directory (default ``<repo>/data/traces``,
+override with ``REPRO_CACHE_DIR``) to force regeneration.
 
 This module also owns **sweep checkpointing**: the design-space sweeps
 evaluate thousands of schemes and used to restart from scratch if the run
@@ -34,19 +35,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.machine import MachineSpec
-from repro.memory.cache import CacheConfig
-from repro.memory.system import MultiprocessorSystem, SystemConfig
 from repro.metrics.confusion import ConfusionCounts
 from repro.telemetry import get_telemetry
+from repro.trace.builder import ColumnSink
 from repro.trace.events import SharingTrace
-from repro.trace.io import load_trace, save_trace
-from repro.util.persist import (
-    CACHE_SCHEMA,
-    CacheCorruptionError,
-    atomic_write_json,
-    discard_corrupt,
-    load_json_checked,
-)
+from repro.trace.interchange import TraceReader, TraceWriter, load_trace
+from repro.util.persist import CACHE_SCHEMA, CacheCorruptionError, discard_corrupt
 from repro.workloads.registry import BENCHMARK_NAMES, make_workload
 
 logger = logging.getLogger("repro.harness.runner")
@@ -71,18 +65,19 @@ def generate_trace(
     benchmark: str,
     num_nodes: int = 16,
     seed: int = 0,
-    cache_bytes: Optional[int] = None,
     quantum: int = 4,
     workload_params: Optional[dict] = None,
     machine: Optional[MachineSpec] = None,
+    forward=None,
 ):
     """Run one benchmark through the protocol and return (trace, stats).
 
-    ``cache_bytes`` defaults to the workload's suggested (scaled) cache
-    size; see EXPERIMENTS.md for the scaling rationale.  When ``machine``
-    is given it defines the whole system (node count, cache geometry,
-    protocol variant) and the resulting trace carries the spec; the bare
-    keyword arguments remain the 16-node paper path.
+    The system is the workload's :meth:`~repro.workloads.base.Workload.system_config`:
+    its suggested (scaled) cache geometry, or the whole of ``machine``
+    when one is given (the resulting trace then carries the spec).
+    ``forward`` (a column sink such as a
+    :class:`~repro.trace.interchange.TraceWriter`) also receives every
+    batch of settled events as the simulation runs.
     """
     workload = make_workload(
         benchmark,
@@ -91,21 +86,30 @@ def generate_trace(
         machine=machine,
         **(workload_params or {}),
     )
-    if machine is not None:
-        system = MultiprocessorSystem(machine=machine, trace_name=benchmark)
-    else:
-        if cache_bytes is None:
-            cache_bytes = getattr(workload, "suggested_cache_bytes", 32 * 1024)
-        associativity = getattr(workload, "suggested_cache_associativity", 4)
-        config = SystemConfig(
-            num_nodes=num_nodes,
-            cache=CacheConfig(
-                size_bytes=cache_bytes, associativity=associativity, line_size=64
-            ),
-        )
-        system = MultiprocessorSystem(config, trace_name=benchmark)
-    system.run(workload.accesses(quantum=quantum))
-    return system.finalize_trace(), system.stats
+    sink = ColumnSink(
+        workload.num_nodes, name=benchmark, machine=machine, forward=forward
+    )
+    stats = workload.stream_trace(sink, quantum=quantum)
+    return sink.trace(), stats
+
+
+def _stats_summary(stats) -> dict:
+    """The schema-stamped protocol statistics stored in a cache footer."""
+    return {
+        "schema": [TRACE_SCHEMA, CACHE_SCHEMA],
+        "accesses": stats.reads + stats.writes,
+        "reads": stats.reads,
+        "writes": stats.writes,
+        "read_misses": stats.read_misses,
+        "write_misses": stats.write_misses,
+        "write_upgrades": stats.write_upgrades,
+        "silent_writes": stats.silent_writes,
+        "invalidations_sent": stats.invalidations_sent,
+        "writebacks": stats.writebacks,
+        "replacements": stats.replacements,
+        "max_static_stores_per_node": stats.max_static_stores_per_node(),
+        "max_predicted_stores_per_node": stats.max_predicted_stores_per_node(),
+    }
 
 
 class TraceSet:
@@ -131,6 +135,7 @@ class TraceSet:
         #: these to shrink per-thread work on big machines)
         self.workload_params = dict(workload_params or {})
         self._traces: Dict[str, SharingTrace] = {}
+        self._summaries: Dict[str, dict] = {}
 
     def _fingerprint(self, benchmark: str) -> str:
         key = (
@@ -149,14 +154,15 @@ class TraceSet:
         return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
 
     def _cache_path(self, benchmark: str) -> Path:
-        return self.cache_dir / f"{benchmark}-{self._fingerprint(benchmark)}.npz"
+        return self.cache_dir / f"{benchmark}-{self._fingerprint(benchmark)}.rtrace"
 
     def trace(self, benchmark: str) -> SharingTrace:
         """The benchmark's trace: memory, then disk cache, then generation.
 
         A cached file that is unreadable (truncated download, torn write,
-        stale format) is logged, deleted, and regenerated -- corruption is a
-        cache miss, never a crash.
+        failed checksum, broken invariants), has no stats, or carries a
+        stale schema stamp is logged, deleted, and regenerated --
+        corruption is a cache miss, never a crash.
         """
         telemetry = get_telemetry()
         cached = self._traces.get(benchmark)
@@ -168,6 +174,7 @@ class TraceSet:
         if path.exists():
             try:
                 trace = load_trace(path)
+                summary = self._read_summary(path)
                 telemetry.count("cache.trace.disk_hits")
             except CacheCorruptionError as error:
                 discard_corrupt(path, str(error))
@@ -176,93 +183,63 @@ class TraceSet:
         else:
             telemetry.count("cache.trace.misses")
         if trace is None:
-            trace = self._generate_and_store(benchmark)
+            trace, summary = self._generate(benchmark, path)
         self._traces[benchmark] = trace
+        self._summaries[benchmark] = summary
         return trace
 
-    def _generate_and_store(self, benchmark: str) -> SharingTrace:
-        """Regenerate one benchmark's trace and stats sidecar as a pair.
+    @staticmethod
+    def _read_summary(path: Path) -> dict:
+        """The footer stats of a cache file; stale or absent is corruption."""
+        summary = TraceReader(path).stats
+        expected = [TRACE_SCHEMA, CACHE_SCHEMA]
+        if summary is None or summary.get("schema") != expected:
+            stamp = None if summary is None else summary.get("schema")
+            raise CacheCorruptionError(
+                f"trace stats schema {stamp!r} != {expected!r}"
+            )
+        return summary
 
-        The trace npz, its stats sidecar, and the in-memory cache always
-        move together (each file atomically via tmp + ``os.replace``), so a
-        reader can never pair a fresh trace with stale stats or vice versa.
+    def _generate(self, benchmark: str, path: Path):
+        """Stream one benchmark's simulation into its cache file.
+
+        The trace and its stats are written together through one
+        :class:`~repro.trace.interchange.TraceWriter`, which appears at
+        ``path`` atomically on close, while :func:`generate_trace` keeps
+        the resident copy.  Returns ``(trace, stats summary)``.
         """
         telemetry = get_telemetry()
         telemetry.count("cache.trace.regenerations")
-        with telemetry.timer("cache.trace.generate_seconds"):
-            trace, stats = generate_trace(
-                benchmark,
-                num_nodes=self.num_nodes,
-                seed=self.seed,
-                quantum=self.quantum,
-                machine=self.machine,
-                workload_params=self.workload_params.get(benchmark),
-            )
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        save_trace(trace, self._cache_path(benchmark))
-        summary = {
-            "schema": [TRACE_SCHEMA, CACHE_SCHEMA],
-            "accesses": stats.reads + stats.writes,
-            "reads": stats.reads,
-            "writes": stats.writes,
-            "read_misses": stats.read_misses,
-            "write_misses": stats.write_misses,
-            "write_upgrades": stats.write_upgrades,
-            "silent_writes": stats.silent_writes,
-            "invalidations_sent": stats.invalidations_sent,
-            "writebacks": stats.writebacks,
-            "replacements": stats.replacements,
-            "max_static_stores_per_node": stats.max_static_stores_per_node(),
-            "max_predicted_stores_per_node": stats.max_predicted_stores_per_node(),
-        }
-        atomic_write_json(self._stats_path(benchmark), summary)
-        self._traces[benchmark] = trace
-        return trace
-
-    def _stats_path(self, benchmark: str) -> Path:
-        return self.cache_dir / f"{benchmark}-{self._fingerprint(benchmark)}.stats.json"
-
-    def _load_summary(self, benchmark: str) -> Optional[dict]:
-        """The stats sidecar if present and valid, else ``None``."""
-        path = self._stats_path(benchmark)
-        if not path.exists():
-            return None
-        try:
-            summary = load_json_checked(path)
-        except CacheCorruptionError as error:
-            discard_corrupt(path, str(error))
-            return None
-        if summary.get("schema") != [TRACE_SCHEMA, CACHE_SCHEMA]:
-            discard_corrupt(
-                path,
-                f"stats schema {summary.get('schema')!r} != "
-                f"{[TRACE_SCHEMA, CACHE_SCHEMA]!r}",
+        with telemetry.timer("cache.trace.generate_seconds"):
+            writer = TraceWriter(
+                path, self.num_nodes, name=benchmark, machine=self.machine
             )
-            return None
-        return summary
+            try:
+                trace, stats = generate_trace(
+                    benchmark,
+                    num_nodes=self.num_nodes,
+                    seed=self.seed,
+                    quantum=self.quantum,
+                    workload_params=self.workload_params.get(benchmark),
+                    machine=self.machine,
+                    forward=writer,
+                )
+            except BaseException:
+                writer.abort()
+                raise
+            summary = _stats_summary(stats)
+            writer.close(stats=summary)
+        return trace, summary
 
     def protocol_summary(self, benchmark: str) -> dict:
         """Protocol statistics recorded when the trace was generated.
 
-        If the sidecar is missing, corrupt, or schema-stale, the trace and
-        stats are regenerated *together* (dropping any in-memory trace), so
+        They come from the same cache file as :meth:`trace`'s events, so
         the summary always describes the trace :meth:`trace` returns.
         """
-        summary = self._load_summary(benchmark)
-        if summary is None:
-            logger.warning(
-                "stats sidecar for %s missing or invalid; regenerating trace "
-                "and stats as a pair",
-                benchmark,
-            )
-            self._traces.pop(benchmark, None)
-            self._generate_and_store(benchmark)
-            summary = self._load_summary(benchmark)
-            if summary is None:  # pragma: no cover - regeneration just wrote it
-                raise CacheCorruptionError(
-                    f"stats sidecar for {benchmark} unreadable after regeneration"
-                )
-        return summary
+        self.trace(benchmark)
+        return self._summaries[benchmark]
 
     def traces(self) -> List[SharingTrace]:
         """All benchmark traces, in suite order."""

@@ -39,11 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
-from repro.machine import MachineSpec
 from repro.memory.address import AddressSpace
 from repro.memory.cache import EXCLUSIVE, MODIFIED, SHARED, CacheConfig, SetAssociativeCache
 from repro.memory.directory import Directory, DirectoryEntry, DirState
-from repro.trace.builder import SharingTraceBuilder
 from repro.util.bitmaps import iter_set_bits, popcount
 
 
@@ -88,10 +86,8 @@ class CoherenceProtocol:
         num_nodes: int,
         cache_config: CacheConfig,
         address_space: AddressSpace,
-        trace_name: str = "trace",
+        builder,
         use_exclusive_state: bool = False,
-        machine: "MachineSpec | None" = None,
-        builder=None,
     ):
         if address_space.num_nodes != num_nodes:
             raise ValueError(
@@ -104,16 +100,11 @@ class CoherenceProtocol:
             )
         self.num_nodes = num_nodes
         self.use_exclusive_state = use_exclusive_state
-        self.machine = machine
         self.address_space = address_space
         self.caches = [SetAssociativeCache(cache_config) for _ in range(num_nodes)]
         self.directory = Directory()
-        # Any object with the builder surface (add_event / add_reader /
-        # __len__ / finalize) works -- a StreamingTraceBuilder here is how
-        # workload traces flow straight into a TraceWriter sink without
-        # ever being resident.
-        if builder is None:
-            builder = SharingTraceBuilder(num_nodes, name=trace_name, machine=machine)
+        # a StreamingTraceBuilder: settled events flow into its sink (a
+        # TraceWriter on disk or a resident ColumnSink)
         self.builder = builder
         self.stats = ProtocolStats(
             store_pcs_by_node=[set() for _ in range(num_nodes)],
@@ -247,8 +238,8 @@ class CoherenceProtocol:
     # Results
     # ------------------------------------------------------------------
 
-    def finalize_trace(self):
-        """Build the immutable sharing trace for everything processed so far."""
+    def finalize_trace(self) -> int:
+        """Close every open epoch and flush the trace; returns the event count."""
         return self.builder.finalize()
 
     def check_invariants(self) -> None:

@@ -24,6 +24,7 @@ from repro.memory.protocol import (
     EpochTransition,
     ProtocolStats,
 )
+from repro.trace.builder import ColumnSink, StreamingTraceBuilder
 
 
 @dataclass(frozen=True)
@@ -84,25 +85,22 @@ class MultiprocessorSystem:
             line_size=config.cache.line_size,
             home_policy=config.home_policy,
         )
-        builder = None
-        if trace_sink is not None:
-            # Stream the trace into the sink (typically a TraceWriter) as
-            # epochs settle instead of materializing it; finalize_trace then
-            # returns the event count, and the trace lives wherever the sink
-            # put it.
-            from repro.trace.builder import StreamingTraceBuilder
-
-            builder = StreamingTraceBuilder(
-                config.num_nodes, trace_sink, name=trace_name, machine=machine
+        # Settled epochs stream into the sink as the run goes.  Without one
+        # the events collect in a resident ColumnSink, and finalize_trace
+        # returns the SharingTrace instead of the event count.
+        self._columns = None
+        if trace_sink is None:
+            self._columns = trace_sink = ColumnSink(
+                config.num_nodes, name=trace_name, machine=machine
             )
         self.protocol = CoherenceProtocol(
             num_nodes=config.num_nodes,
             cache_config=config.cache,
             address_space=self.address_space,
-            trace_name=trace_name,
+            builder=StreamingTraceBuilder(
+                config.num_nodes, trace_sink, name=trace_name, machine=machine
+            ),
             use_exclusive_state=config.use_exclusive_state,
-            machine=machine,
-            builder=builder,
         )
 
     @property
@@ -143,7 +141,8 @@ class MultiprocessorSystem:
         so this returns the total event count instead of a trace (matching
         :meth:`~repro.trace.builder.StreamingTraceBuilder.finalize`).
         """
-        return self.protocol.finalize_trace()
+        events = self.protocol.finalize_trace()
+        return self._columns.trace() if self._columns is not None else events
 
     def replay_trace(
         self,

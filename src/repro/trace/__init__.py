@@ -9,13 +9,14 @@ closes the epoch).
 
 Traces come in two working forms: resident :class:`SharingTrace` arrays,
 and streaming :class:`~repro.trace.source.TraceSource` chunk iterators
-(the ``.rtrace`` interchange file on disk, via
+(the ``.rtrace`` file on disk, via
 :class:`~repro.trace.interchange.FileTraceSource`).  Both flow through
-the same engines; ``repro-trace import`` converts foreign trace formats.
+the same engines.  ``.rtrace`` is the only on-disk format: the trace
+cache stores it, and ``repro-trace import`` converts foreign formats.
 """
 
 from repro.trace.events import SharingEvent, SharingTrace
-from repro.trace.io import TraceFormatError, load_trace, save_trace
+from repro.trace.io import TraceFormatError
 from repro.trace.source import (
     ResidentTraceSource,
     TraceChunk,
@@ -29,7 +30,6 @@ from repro.trace.shm import (
     publish_traces,
     shm_available,
     shm_enabled,
-    trace_fingerprint,
 )
 from repro.trace.stats import TraceStats, compute_trace_stats
 
@@ -39,6 +39,7 @@ _INTERCHANGE_EXPORTS = (
     "FileTraceSource",
     "TraceReader",
     "TraceWriter",
+    "load_trace",
     "write_source",
 )
 
@@ -65,7 +66,6 @@ __all__ = [
     "stream_fingerprint",
     "write_source",
     "load_trace",
-    "save_trace",
     "TraceStats",
     "compute_trace_stats",
     "TraceDescriptor",
@@ -73,5 +73,4 @@ __all__ = [
     "publish_traces",
     "shm_available",
     "shm_enabled",
-    "trace_fingerprint",
 ]

@@ -1,9 +1,12 @@
 """Incremental construction of sharing traces from protocol activity.
 
 The protocol engine reports two things as it runs: "node W wrote block B
-under pc P (a coherence store)" and "node R read block B".  The builder
-threads these into per-block epoch chains -- truth bitmaps, invalidation
-bitmaps, close indices -- and finalizes into an immutable
+under pc P (a coherence store)" and "node R read block B".  The
+:class:`StreamingTraceBuilder` threads these into per-block epoch chains
+-- truth bitmaps, invalidation bitmaps, close indices -- and pushes every
+settled event into a column sink: a
+:class:`~repro.trace.interchange.TraceWriter` for traces that go to disk,
+or a :class:`ColumnSink` for a resident
 :class:`~repro.trace.events.SharingTrace`.
 """
 
@@ -17,11 +20,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.machine import MachineSpec
 
 
-class SharingTraceBuilder:
-    """Accumulates prediction events and their epoch reader sets.
+class ColumnSink:
+    """In-memory column sink: collects flushed columns into a resident trace.
 
-    ``machine`` (optional) is stamped onto the finalized trace so the spec
-    travels with the data it produced.
+    Give it to a :class:`StreamingTraceBuilder`; once the builder is
+    finalized, :meth:`trace` yields the verified
+    :class:`~repro.trace.events.SharingTrace`.  With ``forward`` (another
+    sink, e.g. a :class:`~repro.trace.interchange.TraceWriter`) every
+    batch is also passed on, so one run both writes and keeps the trace.
     """
 
     def __init__(
@@ -29,78 +35,34 @@ class SharingTraceBuilder:
         num_nodes: int,
         name: str = "trace",
         machine: Optional["MachineSpec"] = None,
+        forward=None,
     ):
         self.num_nodes = num_nodes
         self.name = name
         self.machine = machine
-        self._writer: List[int] = []
-        self._pc: List[int] = []
-        self._home: List[int] = []
-        self._block: List[int] = []
-        self._truth: List[int] = []
-        self._inval: List[int] = []
-        self._has_inval: List[bool] = []
-        self._close: List[int] = []
-        self._open_event_by_block: Dict[int, int] = {}
+        self.forward = forward
+        self._columns: List[list] = [[] for _ in range(8)]
 
-    def __len__(self) -> int:
-        return len(self._writer)
+    def write_columns(self, *columns) -> None:
+        """Append one batch: writer, pc, home, block, truth, inval,
+        has_inval and close columns, in that order."""
+        if self.forward is not None:
+            self.forward.write_columns(*columns)
+        for column, values in zip(self._columns, columns):
+            column.extend(values)
 
-    def add_event(self, writer: int, pc: int, home: int, block: int) -> int:
-        """Record a coherence store: closes the block's open epoch, opens a new one.
-
-        Returns the new event's index.
-        """
-        index = len(self._writer)
-        previous = self._open_event_by_block.get(block)
-        if previous is None:
-            inval, has_inval = 0, False
-        else:
-            inval, has_inval = self._truth[previous], True
-            self._close[previous] = index
-        self._writer.append(writer)
-        self._pc.append(pc)
-        self._home.append(home)
-        self._block.append(block)
-        self._truth.append(0)
-        self._inval.append(inval)
-        self._has_inval.append(has_inval)
-        self._close.append(-1)  # patched when the epoch closes / at finalize
-        self._open_event_by_block[block] = index
-        return index
-
-    def add_reader(self, block: int, node: int) -> None:
-        """Record that ``node`` truly read ``block`` during its open epoch.
-
-        Reads before the block's first coherence store (cold data) have no
-        epoch to credit and are ignored -- see DESIGN.md on why pre-write
-        reader sets are excluded from predictor feedback.
-        """
-        event = self._open_event_by_block.get(block)
-        if event is None:
-            return
-        if node == self._writer[event]:
-            return  # the producer re-reading its own data is not sharing
-        self._truth[event] |= 1 << node
-
-    def finalize(self) -> SharingTrace:
-        """Close all open epochs at end-of-trace and build the trace.
-
-        Mirrors the paper's use of "the final state of the memory" to
-        resolve sharing information for epochs still open when the program
-        ends (Section 5.1).
-        """
-        length = len(self._writer)
-        close = [length if value < 0 else value for value in self._close]
+    def trace(self) -> SharingTrace:
+        """The collected events as a consistency-checked trace."""
+        writer, pc, home, block, truth, inval, has_inval, close = self._columns
         trace = SharingTrace(
             num_nodes=self.num_nodes,
-            writer=self._writer,
-            pc=self._pc,
-            home=self._home,
-            block=self._block,
-            truth=self._truth,
-            inval=self._inval,
-            has_inval=self._has_inval,
+            writer=writer,
+            pc=pc,
+            home=home,
+            block=block,
+            truth=truth,
+            inval=inval,
+            has_inval=has_inval,
             close=close,
             name=self.name,
             machine=self.machine,
@@ -110,18 +72,19 @@ class SharingTraceBuilder:
 
 
 class StreamingTraceBuilder:
-    """A trace builder that flushes finished events into a column sink.
+    """Accumulates prediction events and flushes finished ones into a sink.
 
-    Same epoch-threading semantics as :class:`SharingTraceBuilder`, but
-    instead of materializing the whole trace it pushes every *closed
+    Instead of materializing the whole trace it pushes every *closed
     prefix* -- events whose truth and close index can no longer change --
-    into ``sink.write_columns(...)`` (typically a
-    :class:`~repro.trace.interchange.TraceWriter`).  An event is final
-    exactly when it precedes every still-open epoch, so the in-memory
-    buffer spans from the oldest open epoch to the present: bounded by
-    block-reuse distance, not trace length.  (A block written once and
-    never again pins its suffix resident -- the worst case degrades to
-    the materializing builder, never to wrong output.)
+    into ``sink.write_columns(...)`` (a
+    :class:`~repro.trace.interchange.TraceWriter` or a
+    :class:`ColumnSink`).  An event is final exactly when it precedes
+    every still-open epoch, so the in-memory buffer spans from the oldest
+    open epoch to the present: bounded by block-reuse distance, not trace
+    length.  (A block written once and never again pins its suffix
+    resident -- the worst case degrades to holding the whole trace, never
+    to wrong output.)  ``machine`` (optional) rides along for sinks that
+    stamp it on the trace.
 
     ``finalize`` closes the remaining epochs at end-of-trace, flushes the
     tail, and returns the total event count; sealing the sink (e.g.
@@ -143,6 +106,10 @@ class StreamingTraceBuilder:
         self.machine = machine
         self.sink = sink
         self.flush_events = flush_events
+        #: buffer length that triggers the next flush attempt; it moves
+        #: past a pinned prefix so an old open epoch cannot make every
+        #: later event rescan the open-epoch table
+        self._flush_at = flush_events
         self._base = 0  # absolute index of the first buffered event
         self._writer: List[int] = []
         self._pc: List[int] = []
@@ -161,7 +128,10 @@ class StreamingTraceBuilder:
         return self._base + len(self._writer)
 
     def add_event(self, writer: int, pc: int, home: int, block: int) -> int:
-        """Record a coherence store (see :meth:`SharingTraceBuilder.add_event`)."""
+        """Record a coherence store: closes the block's open epoch, opens a new one.
+
+        Returns the new event's index.
+        """
         index = self._base + len(self._writer)
         previous = self._open_event_by_block.get(block)
         if previous is None:
@@ -179,12 +149,18 @@ class StreamingTraceBuilder:
         self._has_inval.append(has_inval)
         self._close.append(-1)
         self._open_event_by_block[block] = index
-        if len(self._writer) >= self.flush_events:
+        if len(self._writer) >= self._flush_at:
             self._flush()
+            self._flush_at = len(self._writer) + self.flush_events
         return index
 
     def add_reader(self, block: int, node: int) -> None:
-        """Record a true read (see :meth:`SharingTraceBuilder.add_reader`)."""
+        """Record that ``node`` truly read ``block`` during its open epoch.
+
+        Reads before the block's first coherence store (cold data) have no
+        epoch to credit and are ignored -- see DESIGN.md on why pre-write
+        reader sets are excluded from predictor feedback.
+        """
         event = self._open_event_by_block.get(block)
         if event is None:
             return
@@ -224,7 +200,12 @@ class StreamingTraceBuilder:
         self._base += count
 
     def finalize(self) -> int:
-        """Close open epochs at end-of-trace, flush everything; event count."""
+        """Close open epochs at end-of-trace, flush everything; event count.
+
+        Mirrors the paper's use of "the final state of the memory" to
+        resolve sharing information for epochs still open when the program
+        ends (Section 5.1).
+        """
         length = self._base + len(self._writer)
         for slot in range(len(self._close)):
             if self._close[slot] < 0:

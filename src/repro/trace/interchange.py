@@ -1,12 +1,13 @@
 """The ``.rtrace`` on-disk trace interchange format.
 
-A versioned, streaming, checksummed container for sharing traces at
-scales where the resident ``.npz`` round-trip stops being viable
-(millions of events): a :class:`TraceWriter` appends columnar chunk
-segments as they are produced, a :class:`TraceReader` iterates them back
-without ever holding more than one chunk, and :class:`FileTraceSource`
-plugs the file straight into the :class:`~repro.trace.source.TraceSource`
-pipeline (engines, stats, traffic replay).
+The one on-disk trace format: a versioned, streaming, checksummed
+container that scales to millions of events.  A :class:`TraceWriter`
+appends columnar chunk segments as they are produced, a
+:class:`TraceReader` iterates them back without ever holding more than
+one chunk, :class:`FileTraceSource` plugs the file straight into the
+:class:`~repro.trace.source.TraceSource` pipeline (engines, stats,
+traffic replay), and :func:`load_trace` reads a whole file back as a
+resident trace (the harness trace cache is ``.rtrace`` files).
 
 File layout (all JSON lines are UTF-8, ``\\n``-terminated)::
 
@@ -18,15 +19,17 @@ File layout (all JSON lines are UTF-8, ``\\n``-terminated)::
     <m bytes: writer|pc|home|block|truth|inval|      chunk payload
      has_inval|close, concatenated C-contiguous>     (repeated)
     {"end": true, "events": N, "chunks": C,          footer line
-     "fingerprint": "..."}
+     "fingerprint": "...", "stats": {...}}           ("stats" optional)
     <8-byte LE footer-line length> #rtrace1\\n        trailer (17 bytes)
 
 The fixed-size trailer makes the header *and* footer readable in O(1):
 ``TraceReader`` knows the event count and content fingerprint without
 touching the chunk data, which is what lets caches, journals, and the
 remote transport key on a multi-gigabyte file for the cost of two
-seeks.  Every chunk payload carries a CRC-32; a torn tail, a flipped
-byte, or a stale schema all surface as
+seeks.  The optional footer ``stats`` object carries the protocol
+statistics of a generated trace (the harness cache stamps it with its
+schema); imported files have none.  Every chunk payload carries a
+CRC-32; a torn tail, a flipped byte, or a stale schema all surface as
 :class:`~repro.trace.io.TraceFormatError`, which the cache layer
 (``util/persist.py``) already treats as "warn, discard, regenerate".
 
@@ -211,10 +214,11 @@ class TraceWriter:
             chunk.close,
         )
 
-    def close(self) -> str:
+    def close(self, stats: Optional[dict] = None) -> str:
         """Seal the file (footer + trailer), move it into place atomically.
 
-        Returns the content's streaming fingerprint.
+        ``stats`` (a JSON object) is stored in the footer.  Returns the
+        content's streaming fingerprint.
         """
         if self._handle is None:
             raise ValueError("TraceWriter is closed")
@@ -225,6 +229,8 @@ class TraceWriter:
             "chunks": self._chunks,
             "fingerprint": fingerprint,
         }
+        if stats is not None:
+            footer["stats"] = stats
         footer_line = _json_line(footer)
         self._handle.write(footer_line)
         self._handle.write(struct.pack("<Q", len(footer_line)))
@@ -233,7 +239,14 @@ class TraceWriter:
         os.fsync(self._handle.fileno())
         self._handle.close()
         self._handle = None
-        os.replace(self._tmp_path, self.path)
+        try:
+            os.replace(self._tmp_path, self.path)
+        except BaseException:
+            try:
+                os.unlink(self._tmp_path)
+            except OSError:
+                pass
+            raise
         self._closed = True
         telemetry = get_telemetry()
         telemetry.count("trace.interchange.writes")
@@ -317,6 +330,10 @@ class TraceReader:
             raise TraceFormatError(
                 f"unreadable .rtrace file {self.path}: {error}"
             ) from error
+        if not isinstance(header, dict) or not isinstance(footer, dict):
+            raise TraceFormatError(
+                f"{self.path}: header and footer must be JSON objects"
+            )
         schema = header.get("schema")
         if schema != RTRACE_SCHEMA:
             raise TraceFormatError(
@@ -335,6 +352,10 @@ class TraceReader:
             self.num_events = int(footer["events"])
             self.num_chunks = int(footer["chunks"])
             self.fingerprint = str(footer["fingerprint"])
+            #: protocol statistics recorded at generation, or None
+            self.stats = footer.get("stats")
+            if self.stats is not None and not isinstance(self.stats, dict):
+                raise TypeError(f"stats must be an object, got {self.stats!r}")
         except (KeyError, TypeError, ValueError) as error:
             raise TraceFormatError(
                 f"{self.path}: malformed .rtrace metadata: {error}"
@@ -514,6 +535,32 @@ def write_source(
     return writer.close()
 
 
+def load_trace(path: PathLike) -> SharingTrace:
+    """Read a whole ``.rtrace`` file as a resident trace, verifying it.
+
+    Raises:
+        TraceFormatError: the container is damaged (see
+            :class:`TraceReader`) or the events violate the trace
+            invariants (:meth:`SharingTrace.check_consistency`).
+    """
+    telemetry = get_telemetry()
+    try:
+        with telemetry.timer("trace.io.load_seconds"):
+            trace = FileTraceSource(path).materialize()
+            try:
+                trace.check_consistency()
+            except ValueError as error:
+                raise TraceFormatError(
+                    f"trace file {os.fspath(path)} violates trace invariants: {error}"
+                ) from error
+    except TraceFormatError:
+        telemetry.count("trace.io.load_failures")
+        raise
+    telemetry.count("trace.io.loads")
+    telemetry.count("trace.io.events_loaded", len(trace))
+    return trace
+
+
 # ----------------------------------------------------------------------
 # Importers
 # ----------------------------------------------------------------------
@@ -664,20 +711,6 @@ def _parse_csv_row(
     return node, op, addr, pc
 
 
-def import_npz(
-    src: PathLike,
-    dst: PathLike,
-    chunk_events: int = DEFAULT_CHUNK_EVENTS,
-) -> Tuple[int, str]:
-    """Convert a cached ``.npz`` trace into ``.rtrace`` (resident load)."""
-    from repro.trace.io import load_trace
-
-    trace = load_trace(src)
-    fingerprint = write_source(trace, dst, chunk_events)
-    get_telemetry().count("trace.interchange.imports")
-    return len(trace), fingerprint
-
-
 # ----------------------------------------------------------------------
 # Synthetic CSV generation (CI smoke + benchmarks)
 # ----------------------------------------------------------------------
@@ -736,8 +769,6 @@ def _guess_format(path: str) -> str:
         return "text"
     if extension == ".csv":
         return "csv"
-    if extension == ".npz":
-        return "npz"
     raise SystemExit(
         f"cannot guess the input format of {path!r}; pass --format"
     )
@@ -756,12 +787,8 @@ def _cmd_import(args: argparse.Namespace) -> int:
             name=args.name,
             chunk_events=args.chunk_events,
         )
-    elif fmt == "text":
-        events, fingerprint = import_text(
-            args.src, args.dst, chunk_events=args.chunk_events
-        )
     else:
-        events, fingerprint = import_npz(
+        events, fingerprint = import_text(
             args.src, args.dst, chunk_events=args.chunk_events
         )
     if args.verify:
@@ -784,6 +811,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"chunks:      {reader.num_chunks}")
     print(f"fingerprint: {reader.fingerprint}")
     print(f"machine:     {machine}")
+    if reader.stats is not None:
+        print(f"stats:       {json.dumps(reader.stats, sort_keys=True)}")
     if args.verify:
         reader.verify()
         print("verified:    content matches footer fingerprint")
@@ -820,13 +849,13 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     cmd = commands.add_parser(
-        "import", help="convert a text/CSV/npz trace into .rtrace"
+        "import", help="convert a text/CSV trace into .rtrace"
     )
     cmd.add_argument("src", help="input trace file")
     cmd.add_argument("dst", help="output .rtrace path")
     cmd.add_argument(
         "--format",
-        choices=("text", "csv", "npz"),
+        choices=("text", "csv"),
         help="input format (default: guess from the extension)",
     )
     cmd.add_argument(

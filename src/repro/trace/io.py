@@ -1,22 +1,19 @@
-"""Trace persistence.
+"""The v1 text trace format and the trace-file error type.
 
-Traces are expensive to generate (a full protocol simulation) and cheap to
-store, so the harness caches them as ``.npz`` files.  A human-readable text
-format is also provided for debugging and for importing traces produced by
-other tools.
+Traces are stored on disk as ``.rtrace`` files
+(:mod:`repro.trace.interchange`).  This module holds the human-readable
+text format, for debugging and for importing traces produced by other
+tools, and :class:`TraceFormatError`, which every trace reader raises.
 """
 
 from __future__ import annotations
 
-import io
 import os
-import zipfile
 from typing import IO, Iterator, Optional, Union
 
 import numpy as np
 
 from repro.machine import MachineSpec
-from repro.telemetry import get_telemetry
 from repro.trace.events import SharingTrace
 from repro.trace.source import (
     CHUNK_FIELDS,
@@ -27,131 +24,16 @@ from repro.trace.source import (
     as_source,
 )
 from repro.util.bitmaps import bitmap_layout
-from repro.util.persist import CacheCorruptionError, atomic_write_bytes
-
-_FORMAT_VERSION = 1
-
-#: arrays every trace archive must contain
-_REQUIRED_FIELDS = (
-    "version",
-    "num_nodes",
-    "name",
-    "writer",
-    "pc",
-    "home",
-    "block",
-    "truth",
-    "inval",
-    "has_inval",
-    "close",
-)
+from repro.util.persist import CacheCorruptionError
 
 
 class TraceFormatError(CacheCorruptionError, ValueError):
-    """A trace file is truncated, not an npz archive, or schema-stale.
+    """A trace file is truncated, malformed, or schema-stale.
 
     Doubles as a :class:`ValueError` for callers that validate formats and
     as a :class:`~repro.util.persist.CacheCorruptionError` for the cache
     layer, which treats it as a miss and regenerates.
     """
-
-
-def save_trace(trace: SharingTrace, path: Union[str, os.PathLike]) -> None:
-    """Write a trace as a compressed ``.npz`` archive, atomically.
-
-    The archive is serialized in memory and moved into place with
-    ``os.replace``, so a crashed writer can never leave a truncated trace
-    behind for the next reader to trip over.
-    """
-    telemetry = get_telemetry()
-    with telemetry.timer("trace.io.save_seconds"):
-        arrays = dict(
-            version=np.int64(_FORMAT_VERSION),
-            num_nodes=np.int64(trace.num_nodes),
-            name=np.array(trace.name),
-            writer=trace.writer,
-            pc=trace.pc,
-            home=trace.home,
-            block=trace.block,
-            truth=trace.truth,
-            inval=trace.inval,
-            has_inval=trace.has_inval,
-            close=trace.close,
-        )
-        # The machine spec is an *optional* member: traces written before
-        # MachineSpec existed (and traces generated without one) omit it,
-        # and the loader treats absence as "paper-default machine".
-        if trace.machine is not None:
-            arrays["machine"] = np.array(trace.machine.to_json())
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **arrays)
-        atomic_write_bytes(path, buffer.getvalue())
-    telemetry.count("trace.io.saves")
-    telemetry.count("trace.io.events_saved", len(trace))
-
-
-def load_trace(path: Union[str, os.PathLike]) -> SharingTrace:
-    """Load a trace written by :func:`save_trace`, verifying its invariants.
-
-    Raises:
-        TraceFormatError: the file is not a readable npz archive, is missing
-            required arrays, was written under a different format version,
-            or fails the trace consistency checks.
-    """
-    telemetry = get_telemetry()
-    try:
-        with telemetry.timer("trace.io.load_seconds"):
-            trace = _load_trace_checked(path)
-    except TraceFormatError:
-        telemetry.count("trace.io.load_failures")
-        raise
-    telemetry.count("trace.io.loads")
-    telemetry.count("trace.io.events_loaded", len(trace))
-    return trace
-
-
-def _load_trace_checked(path: Union[str, os.PathLike]) -> SharingTrace:
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            missing = [field for field in _REQUIRED_FIELDS if field not in archive]
-            if missing:
-                raise TraceFormatError(
-                    f"trace file {path} is missing fields {missing}"
-                )
-            version = int(archive["version"])
-            if version != _FORMAT_VERSION:
-                raise TraceFormatError(
-                    f"unsupported trace format version {version} in {path}"
-                )
-            machine = None
-            if "machine" in archive:
-                machine = MachineSpec.from_json(str(archive["machine"]))
-            trace = SharingTrace(
-                num_nodes=int(archive["num_nodes"]),
-                writer=archive["writer"],
-                pc=archive["pc"],
-                home=archive["home"],
-                block=archive["block"],
-                truth=archive["truth"],
-                inval=archive["inval"],
-                has_inval=archive["has_inval"],
-                close=archive["close"],
-                name=str(archive["name"]),
-                machine=machine,
-            )
-    except TraceFormatError:
-        raise
-    except (zipfile.BadZipFile, OSError, KeyError, ValueError, EOFError) as error:
-        # BadZipFile: not a zip; OSError/EOFError: truncated or unreadable;
-        # KeyError/ValueError: member arrays absent or malformed.
-        raise TraceFormatError(f"unreadable trace file {path}: {error}") from error
-    try:
-        trace.check_consistency()
-    except (ValueError, AssertionError) as error:
-        raise TraceFormatError(
-            f"trace file {path} violates trace invariants: {error}"
-        ) from error
-    return trace
 
 
 def dump_text(
@@ -166,7 +48,7 @@ def dump_text(
     """
     source = as_source(trace)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"# sharing-trace v{_FORMAT_VERSION} nodes={source.num_nodes} "
+        handle.write(f"# sharing-trace v1 nodes={source.num_nodes} "
                      f"name={source.name}\n")
         if source.machine is not None:
             handle.write(f"# machine={source.machine.to_json()}\n")

@@ -33,7 +33,6 @@ call site that degrades.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -43,24 +42,12 @@ import numpy as np
 from repro.machine import MachineSpec
 from repro.telemetry import get_telemetry
 from repro.trace.events import SharingTrace
+from repro.trace.source import CHUNK_FIELDS, TraceSource, as_source, stream_fingerprint
 
 try:  # pragma: no cover - present on every supported CPython
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover - exotic minimal builds
     _shared_memory = None
-
-#: the array fields of a SharingTrace, in serialization order
-TRACE_FIELDS: Tuple[str, ...] = (
-    "writer",
-    "pc",
-    "home",
-    "block",
-    "truth",
-    "inval",
-    "has_inval",
-    "close",
-)
-
 
 def shm_available() -> bool:
     """True when the interpreter ships ``multiprocessing.shared_memory``."""
@@ -80,39 +67,13 @@ def shm_enabled() -> bool:
     return True
 
 
-def trace_fingerprint(trace: SharingTrace) -> str:
-    """A content hash identifying a trace's exact arrays and shape.
-
-    Workers verify it after attaching, so a stale or recycled segment name
-    can never silently feed a different trace into an evaluation.
-    """
-    digest = hashlib.sha256()
-    digest.update(f"nodes={trace.num_nodes};name={trace.name};".encode("utf-8"))
-    # Traces generated without a spec (the paper-default machine) keep the
-    # historical fingerprint so pre-existing caches and fixtures stay valid.
-    if trace.machine is not None:
-        digest.update(f"machine={trace.machine.trace_label()};".encode("utf-8"))
-    for field in TRACE_FIELDS:
-        array = np.ascontiguousarray(getattr(trace, field))
-        digest.update(field.encode("utf-8"))
-        digest.update(str(array.dtype).encode("utf-8"))
-        digest.update(array.tobytes())
-    return digest.hexdigest()[:16]
-
-
 def content_key(trace) -> str:
     """The content identity of a resident trace or a streaming source.
 
-    Sources key on their streaming fingerprint (prefixed so the two
-    fingerprint algebras can never collide), residents on the historical
-    resident :func:`trace_fingerprint` -- so every existing transport-reuse
-    key stays exactly what it was.
+    Both key on the streaming fingerprint, so equal content gets one key
+    however it is held (a file-backed source reads it from its footer).
     """
-    from repro.trace.source import TraceSource
-
-    if isinstance(trace, TraceSource):
-        return f"stream:{trace.fingerprint()}"
-    return trace_fingerprint(trace)
+    return as_source(trace).fingerprint()
 
 
 @dataclass(frozen=True)
@@ -223,8 +184,6 @@ def _publish_one(published: PublishedTraces, trace) -> int:
     the trace never materializes in the publisher's heap.  Returns the
     published byte count.
     """
-    from repro.trace.source import TraceSource
-
     streaming = isinstance(trace, TraceSource)
     num_events = len(trace)
     specs = _field_specs(num_events, trace.num_nodes)
@@ -256,7 +215,7 @@ def _publish_one(published: PublishedTraces, trace) -> int:
         filled = 0
         for chunk in trace.chunks():
             stop = filled + len(chunk)
-            for field in TRACE_FIELDS:
+            for field in CHUNK_FIELDS:
                 views[field][filled:stop] = getattr(chunk, field)
             filled = stop
         if filled != num_events:
@@ -265,7 +224,7 @@ def _publish_one(published: PublishedTraces, trace) -> int:
                 f"header promised {num_events}"
             )
     else:
-        for field in TRACE_FIELDS:
+        for field in CHUNK_FIELDS:
             views[field][:] = getattr(trace, field)
     # Fingerprint the shared buffer itself (zero-copy views) so streamed
     # and resident publishes of the same content produce the same
@@ -282,7 +241,7 @@ def _publish_one(published: PublishedTraces, trace) -> int:
             trace_name=trace.name,
             num_nodes=trace.num_nodes,
             num_events=num_events,
-            fingerprint=trace_fingerprint(shared_trace),
+            fingerprint=stream_fingerprint(shared_trace),
             fields=fields,
             machine=(
                 trace.machine.to_json() if trace.machine is not None else ""
@@ -341,7 +300,7 @@ class AttachedTrace:
         self.descriptor = descriptor
         self._segment = _shared_memory.SharedMemory(name=descriptor.segment)
         arrays = {}
-        for field in TRACE_FIELDS:
+        for field in CHUNK_FIELDS:
             layout = descriptor.fields[field]
             shape = (
                 (layout.length, layout.words) if layout.words else (layout.length,)
@@ -364,7 +323,7 @@ class AttachedTrace:
             ),
             **arrays,
         )
-        actual = trace_fingerprint(self.trace)
+        actual = stream_fingerprint(self.trace)
         if actual != descriptor.fingerprint:
             self.close()
             raise ValueError(

@@ -26,16 +26,12 @@ helpers -- :func:`repro.core.vectorized.compute_keys`,
 unchanged.  ``close`` indices stay *absolute* (they may point past the
 chunk's end); ``chunk.start`` anchors the window in the full trace.
 
-**Fingerprints.**  The resident content fingerprint
-(:func:`repro.trace.shm.trace_fingerprint`) hashes columns field-major,
-which cannot be computed in one chunk-major pass.  Streams therefore
-carry their own :func:`stream_fingerprint`: one sub-hash per field, fed
-chunk by chunk, combined field-major at the end.  Both fingerprints are
-pure functions of the same content -- two sources with equal events have
-equal stream fingerprints, and materializing a source yields a resident
-trace whose classic fingerprint matches an identically built in-memory
-trace -- so every existing cache, journal, and golden fixture keyed on
-the resident fingerprint stays valid (DESIGN.md, "Trace interchange and
+**Fingerprints.**  A trace's content identity is its
+:func:`stream_fingerprint`: one sub-hash per field, fed chunk by chunk,
+combined field-major at the end.  It is a pure function of the content,
+so a resident trace, a file-backed source, and any chunking of either
+agree; the shared-memory and remote transports verify against it, and an
+``.rtrace`` footer stores it (DESIGN.md, "Trace interchange and
 streaming").
 """
 
@@ -58,9 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: territory (~4 MB of columns at 64 nodes)
 DEFAULT_CHUNK_EVENTS = 65536
 
-#: the array fields of a trace chunk, in canonical serialization order
-#: (identical to :data:`repro.trace.shm.TRACE_FIELDS` -- redeclared here so
-#: the streaming layer has no import dependency on the shm transport)
+#: the array fields of a trace, in canonical serialization order
 CHUNK_FIELDS = ("writer", "pc", "home", "block", "truth", "inval", "has_inval", "close")
 
 
@@ -324,10 +318,7 @@ def rechunk(
 class StreamFingerprinter:
     """Incremental content fingerprint over chunked columns.
 
-    The resident :func:`~repro.trace.shm.trace_fingerprint` hashes
-    field-major (all of ``writer``, then all of ``pc``, ...), which a
-    single chunk-major pass cannot produce.  This fingerprinter instead
-    keeps one sub-hash per field, feeds each chunk's column bytes into
+    Keeps one sub-hash per field, feeds each chunk's column bytes into
     its field's sub-hash, and combines the sub-digests field-major at
     :meth:`finish` -- so the result is computable both incrementally
     (writers, importers) and in one cheap pass over a resident trace,

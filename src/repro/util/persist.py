@@ -1,16 +1,17 @@
 """Durable, corruption-tolerant persistence primitives.
 
-Both on-disk caches (trace ``.npz`` archives in :mod:`repro.harness.runner`
+Both on-disk caches (trace ``.rtrace`` files in :mod:`repro.harness.runner`
 and experiment-result JSON in :mod:`repro.harness.results`) share the same
 failure model: a write torn by a crash, a truncated download, or a stale
 schema must read back as a *cache miss*, never as an exception that takes
-down an experiment sweep.  This module centralizes the two mechanisms that
+down an experiment sweep.  This module centralizes the mechanisms that
 make that true:
 
 * **Atomic writes** — payloads are written to a temporary sibling file and
   moved into place with :func:`os.replace`, which is atomic on POSIX and
   Windows.  A reader can therefore never observe a half-written cache file;
-  at worst it observes the previous version or nothing.
+  at worst it observes the previous version or nothing.  (The streaming
+  :class:`~repro.trace.interchange.TraceWriter` keeps the same contract.)
 * **Shared schema versioning** — :data:`CACHE_SCHEMA` is a single version
   number embedded in every cache payload.  Bumping it invalidates *all*
   derived caches at once (traces and results together), which is the only
@@ -33,8 +34,8 @@ from repro.telemetry import get_telemetry
 
 logger = logging.getLogger("repro.persist")
 
-#: Version shared by *all* on-disk caches (trace npz sidecars and result
-#: JSON).  Bump to invalidate every derived cache at once when cross-cache
+#: Version shared by *all* on-disk caches (trace ``.rtrace`` footer stats
+#: and result JSON).  Bump to invalidate every derived cache at once when cross-cache
 #: semantics change; per-cache schemas (``TRACE_SCHEMA``, ``RESULT_SCHEMA``)
 #: still exist for changes local to one cache.
 CACHE_SCHEMA = 1

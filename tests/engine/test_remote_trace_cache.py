@@ -91,9 +91,13 @@ def test_file_suite_installs_by_spec_then_hits_the_cache(
     assert first == local_streamed == local_resident
 
 
-def test_resident_suite_is_cached_across_coordinators(worker, trace, sink):
+def test_resident_suite_is_cached_across_coordinators(worker, sink):
     """A resident suite installs once (shm or bulk), then reconnecting
     coordinators hit the worker cache instead of re-shipping."""
+    # content no other test installs: keys are content fingerprints
+    trace = make_random_trace(
+        num_nodes=16, num_events=400, num_blocks=20, seed="trace-cache-resident"
+    )
     parsed = [parse_scheme(text) for text in SCHEMES]
     first = run_remote(worker, [trace])
     installs = sink.counters.get(
@@ -107,6 +111,20 @@ def test_resident_suite_is_cached_across_coordinators(worker, trace, sink):
 
     local = VectorizedEngine().evaluate_batch(parsed, [trace])
     assert first == second == local
+
+
+def test_equal_content_shares_one_key(worker, trace, source, sink):
+    """A resident trace and an .rtrace file holding the same events key
+    on one stream fingerprint, so either form hits what the other
+    installed."""
+    run_remote(worker, [source])
+    installs = sink.counters.get("engine.remote.file_installs", 0)
+    hits_before = sink.counters.get("engine.remote.trace_cache.hits", 0)
+    run_remote(worker, [trace])
+    assert sink.counters.get("engine.remote.trace_cache.hits", 0) == hits_before + 1
+    assert sink.counters.get("engine.remote.file_installs", 0) == installs
+    assert sink.counters.get("engine.remote.shm_installs", 0) == 0
+    assert sink.counters.get("engine.remote.bulk_installs", 0) == 0
 
 
 def test_distinct_suites_do_not_collide(worker, trace, source, sink):

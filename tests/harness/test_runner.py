@@ -3,6 +3,13 @@
 import pytest
 
 from repro.harness.runner import TraceSet, generate_trace
+from repro.trace.interchange import TraceReader, write_source
+from repro.trace.source import stream_fingerprint
+
+SMALL = {
+    "ocean": {"grid_size": 32, "iterations": 2},
+    "mp3d": {"molecules_per_thread": 12, "steps": 3},
+}
 
 
 @pytest.fixture
@@ -34,7 +41,7 @@ class TestGenerateTrace:
 class TestTraceSet:
     def test_generates_and_caches(self, cached_set, tmp_path):
         trace = cached_set.trace("ocean")
-        assert len(list(tmp_path.glob("ocean-*.npz"))) == 1
+        assert len(list(tmp_path.glob("ocean-*.rtrace"))) == 1
         # second TraceSet over the same dir loads from disk
         reloaded = TraceSet(benchmarks=["ocean"], cache_dir=tmp_path).trace("ocean")
         assert (trace.truth == reloaded.truth).all()
@@ -42,17 +49,46 @@ class TestTraceSet:
     def test_memory_cache(self, cached_set):
         assert cached_set.trace("ocean") is cached_set.trace("ocean")
 
-    def test_stats_sidecar(self, cached_set):
+    def test_stats_sidecar(self, cached_set, tmp_path):
+        """The protocol stats live in the cache file's footer."""
         summary = cached_set.protocol_summary("ocean")
         assert summary["writes"] > 0
         assert "max_static_stores_per_node" in summary
+        (path,) = tmp_path.glob("ocean-*.rtrace")
+        assert TraceReader(path).stats == summary
 
     def test_stats_regenerated_if_missing(self, cached_set, tmp_path):
-        cached_set.trace("ocean")
-        for path in tmp_path.glob("*.stats.json"):
-            path.unlink()
+        trace = cached_set.trace("ocean")
+        (path,) = tmp_path.glob("ocean-*.rtrace")
+        write_source(trace, path)  # same events, no footer stats
         fresh = TraceSet(benchmarks=["ocean"], cache_dir=tmp_path)
         assert fresh.protocol_summary("ocean")["writes"] > 0
+        assert TraceReader(path).stats is not None
+
+    def test_cold_set_writes_one_file_per_benchmark(self, tmp_path):
+        trace_set = TraceSet(
+            benchmarks=["ocean", "mp3d"], cache_dir=tmp_path, workload_params=SMALL
+        )
+        trace_set.traces()
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert names == sorted(
+            f"{name}-{trace_set._fingerprint(name)}.rtrace" for name in SMALL
+        )
+
+    def test_cached_trace_matches_generate_trace(self, tmp_path):
+        cold = TraceSet(
+            benchmarks=["mp3d"], seed=1, cache_dir=tmp_path, workload_params=SMALL
+        )
+        generated, stats = generate_trace(
+            "mp3d", seed=1, workload_params=SMALL["mp3d"]
+        )
+        expected = stream_fingerprint(generated)
+        assert stream_fingerprint(cold.trace("mp3d")) == expected
+        warm = TraceSet(
+            benchmarks=["mp3d"], seed=1, cache_dir=tmp_path, workload_params=SMALL
+        )
+        assert stream_fingerprint(warm.trace("mp3d")) == expected
+        assert warm.protocol_summary("mp3d")["writes"] == stats.writes
 
     def test_fingerprint_stability(self, tmp_path):
         a = TraceSet(benchmarks=["ocean"], cache_dir=tmp_path)

@@ -180,8 +180,9 @@ class TestSmokeGrid:
         )
         run_scenario_grid(grid, engine=VectorizedEngine())
         cache = scenario_env / "traces"
-        # one trace file (plus stats sidecar) despite two topology cells
-        assert len(list(cache.glob("em3d-*.npz"))) == 1
+        # one trace file despite two topology cells
+        assert len(list(cache.iterdir())) == 1
+        assert len(list(cache.glob("em3d-*.rtrace"))) == 1
 
     def test_journal_keys_cover_cells_and_schemes(self, scenario_env):
         run_scenario_grid(SMOKE_GRID, engine=VectorizedEngine())

@@ -7,7 +7,7 @@ from repro.core.schemes import parse_scheme
 from repro.core.vectorized import evaluate_scheme_fast
 from repro.harness.runner import generate_trace
 from repro.metrics.screening import ScreeningStats
-from repro.trace.io import load_trace, save_trace
+from repro.trace.interchange import load_trace, write_source
 from repro.trace.stats import compute_trace_stats, oracle_counts
 
 
@@ -45,8 +45,8 @@ class TestFullPipeline:
             ), text
 
     def test_persistence_roundtrip_preserves_evaluation(self, water_trace, tmp_path):
-        path = tmp_path / "water.npz"
-        save_trace(water_trace, path)
+        path = tmp_path / "water.rtrace"
+        write_source(water_trace, path)
         reloaded = load_trace(path)
         scheme = parse_scheme("union(pid+add4)2[direct]")
         assert evaluate_scheme_fast(scheme, reloaded) == evaluate_scheme_fast(

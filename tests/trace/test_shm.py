@@ -12,13 +12,12 @@ import pytest
 
 from repro.telemetry import Telemetry, set_telemetry
 from repro.trace.shm import (
-    TRACE_FIELDS,
     attach_trace,
     publish_traces,
     shm_available,
     shm_enabled,
-    trace_fingerprint,
 )
+from repro.trace.source import CHUNK_FIELDS, stream_fingerprint
 from tests.conftest import make_random_trace
 
 pytestmark = pytest.mark.skipif(
@@ -36,14 +35,14 @@ def traces():
 
 class TestFingerprint:
     def test_stable_across_calls(self, traces):
-        assert trace_fingerprint(traces[0]) == trace_fingerprint(traces[0])
+        assert stream_fingerprint(traces[0]) == stream_fingerprint(traces[0])
 
     def test_distinct_traces_distinct_fingerprints(self, traces):
-        assert trace_fingerprint(traces[0]) != trace_fingerprint(traces[1])
+        assert stream_fingerprint(traces[0]) != stream_fingerprint(traces[1])
 
     def test_sensitive_to_array_contents(self, traces):
         trace = traces[0]
-        before = trace_fingerprint(trace)
+        before = stream_fingerprint(trace)
         mutated = trace.writer.copy()
         mutated[0] = (mutated[0] + 1) % trace.num_nodes
         clone = type(trace)(
@@ -51,10 +50,10 @@ class TestFingerprint:
             name=trace.name,
             **{
                 field: (mutated if field == "writer" else getattr(trace, field))
-                for field in TRACE_FIELDS
+                for field in CHUNK_FIELDS
             },
         )
-        assert trace_fingerprint(clone) != before
+        assert stream_fingerprint(clone) != before
 
 
 class TestPublishAttach:
@@ -67,7 +66,7 @@ class TestPublishAttach:
                     assert attached.trace.name == original.name
                     assert attached.trace.num_nodes == original.num_nodes
                     assert len(attached.trace) == len(original)
-                    for field in TRACE_FIELDS:
+                    for field in CHUNK_FIELDS:
                         np.testing.assert_array_equal(
                             getattr(attached.trace, field), getattr(original, field)
                         )
@@ -79,7 +78,7 @@ class TestPublishAttach:
         with publish_traces(traces[:1]) as published:
             attached = attach_trace(published.descriptors[0])
             try:
-                for field in TRACE_FIELDS:
+                for field in CHUNK_FIELDS:
                     array = getattr(attached.trace, field)
                     assert not array.flags["OWNDATA"], field
             finally:
@@ -128,7 +127,7 @@ class TestPublishAttach:
         expected_bytes = sum(
             np.ascontiguousarray(getattr(trace, field)).nbytes
             for trace in traces
-            for field in TRACE_FIELDS
+            for field in CHUNK_FIELDS
         )
         assert sink.counters["shm.bytes_published"] == expected_bytes
 
